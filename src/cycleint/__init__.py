@@ -1,7 +1,6 @@
 """Operators, counting machinery, and exhaustive small-degree verification
 for t-cycle-intersecting families of permutations."""
 
-from .config import RunConfig
 from .extremal import (ExtremalComparison, QuadCheck, compare_extremal,
                        f1_closed_form, f_family, f_family_size,
                        quad_inequality_check, quad_value, stabilizer_family)

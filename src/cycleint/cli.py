@@ -256,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--families", default=None, help="e.g. F0,F1")
-    p.add_argument("--compare", action="store_true",
-                   help="kept for symmetry; comparison always runs")
     p.add_argument("--t-max", type=int, default=50, help="quad mode: largest t")
     p.add_argument("--n-span", type=int, default=40,
                    help="quad mode: check n in [2t+1, 2t+span]")
@@ -314,6 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # an enumeration disagreed with its counting formula
+        print(f"error: cross-check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
-"""Run-scale configuration: enumeration and search caps, budgets, seeds.
+"""Run-scale configuration: the enumeration and search caps.
 
-Full materialization of S_n grows factorially, so every operation that walks
-the whole group checks a cap and refuses instead of thrashing. Caps can be
-overridden per call, via :class:`RunConfig`, or with environment variables.
+Full materialization of S_n grows factorially, so the table of S_n and the
+clique search check a cap and refuse instead of thrashing. Caps can be
+overridden per call or with environment variables.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 DEFAULT_ENUMERATION_CAP = 7
 DEFAULT_SEARCH_CAP = 6
@@ -47,30 +46,3 @@ def search_cap(override: int | None = None) -> int:
         return override
     return _cap_from_env(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
 
-
-@dataclass
-class RunConfig:
-    """CLI-level knobs; library functions take the caps as plain arguments."""
-
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    search_cap: int = DEFAULT_SEARCH_CAP
-    time_budget: float | None = None
-    seed: int | None = None
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.enumeration_cap < 1 or self.search_cap < 1:
-            raise ValueError("caps must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time budget must be positive")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "RunConfig":
-        cfg = cls(
-            enumeration_cap=_cap_from_env(ENUMERATION_CAP_ENV, DEFAULT_ENUMERATION_CAP),
-            search_cap=_cap_from_env(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP),
-        )
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
-        return cfg

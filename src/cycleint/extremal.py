@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from . import config
 from .gensets import _pattern_count, up_permutations
-from .intersect import PermFamily
-from .perm import all_permutations
+from .intersect import PermFamily, _fixed_point_family
 
 
 def stabilizer_family(points, n: int) -> PermFamily:
@@ -33,13 +32,9 @@ def f_family(n: int, t: int, i: int, cap: int | None = None) -> PermFamily:
     """Permutations fixing at least t+i of the first t+2i points (i = 0 gives
     the stabilizer of [t])."""
     _check_f_params(n, t, i)
-    limit = config.enumeration_cap(cap)
-    if n > limit:
-        raise ValueError(f"degree {n} exceeds enumeration cap {limit}")
-    window = frozenset(range(1, t + 2 * i + 1))
-    threshold = t + i
-    return PermFamily(n, (p for p in all_permutations(n)
-                          if len(frozenset(p.fixed_points()) & window) >= threshold))
+    window = (1 << (t + 2 * i)) - 1
+    return _fixed_point_family(
+        n, lambda mask: (mask & window).bit_count() >= t + i, cap)
 
 
 def f_family_size(n: int, t: int, i: int) -> int:

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import config, report
-from .intersect import (PermFamily, is_family_t_cycle_intersecting, is_maximal)
-from .perm import Permutation, all_permutations
+from .intersect import (PermFamily, _fixed_point_family,
+                        is_family_t_cycle_intersecting, is_maximal)
+from .perm import Permutation
 from .report import CheckResult
 
 
@@ -276,14 +277,9 @@ def fix_prefix_family(points: Iterable[int], n: int,
         raise ValueError("pattern must be nonempty")
     if not 1 <= member[-1] <= n:
         raise ValueError(f"pattern not contained in [1, {n}]")
-    limit = config.enumeration_cap(cap)
-    if n > limit:
-        raise ValueError(f"degree {n} exceeds enumeration cap {limit}")
-    top = member[-1]
-    prefix = frozenset(range(1, top + 1))
-    wanted = frozenset(member)
-    return PermFamily(n, (p for p in all_permutations(n)
-                          if frozenset(p.fixed_points()) & prefix == wanted))
+    prefix = (1 << member[-1]) - 1
+    wanted = sum(1 << (x - 1) for x in member)
+    return _fixed_point_family(n, lambda mask: mask & prefix == wanted, cap)
 
 
 def fix_prefix_size(points: Iterable[int], n: int, mode: str = "auto",
@@ -322,14 +318,9 @@ def reduced_fix_prefix_family(points: Iterable[int], n: int,
         raise ValueError("pattern must be nonempty")
     if not 1 <= member[-1] <= n:
         raise ValueError(f"pattern not contained in [1, {n}]")
-    limit = config.enumeration_cap(cap)
-    if n > limit:
-        raise ValueError(f"degree {n} exceeds enumeration cap {limit}")
-    top = member[-1]
-    reduced = frozenset(member) - {top}
-    prefix = frozenset(range(1, top))
-    return PermFamily(n, (p for p in all_permutations(n)
-                          if frozenset(p.fixed_points()) & prefix == reduced))
+    prefix = (1 << (member[-1] - 1)) - 1
+    reduced = sum(1 << (x - 1) for x in member[:-1])
+    return _fixed_point_family(n, lambda mask: mask & prefix == reduced, cap)
 
 
 def reduced_fix_prefix_size(points: Iterable[int], n: int) -> int:

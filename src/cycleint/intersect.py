@@ -4,11 +4,18 @@ Two permutations t-cycle-intersect when their canonical cycle decompositions
 share at least t cycles; a family is t-cycle-intersecting when every unordered
 pair does (vacuously for at most one member). The intersection graph makes
 that pair relation explicit so maximum families become maximum cliques.
+
+Every walk over S_n reads one cached table per degree, which holds the
+permutations in rank order with their fixed-point bitmasks and cycle ids and
+is the one place the enumeration cap is checked before such a walk.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from collections.abc import Iterable, Iterator
 
 from . import config
@@ -160,10 +167,6 @@ class IntersectionGraph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> int:
-        """Neighbor set of v as a bitset keyed by rank."""
-        return self.adj[v]
-
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.size)) // 2
 
@@ -178,75 +181,91 @@ class IntersectionGraph:
                 yield f"e {u} {v}"
 
 
-def build_intersection_graph(n: int, t: int,
-                             cap: int | None = None) -> IntersectionGraph:
-    """Materialize the graph; refuses degrees beyond the enumeration cap."""
+class _SnTable:
+    """S_n in rank order with each row's fixed-point bitmask (bit x-1 for
+    point x) and interned cycle ids. Cycles are read from throwaway copies,
+    so none is cached on the shared rows: the table is about 1.5 MB at n = 7."""
+
+    __slots__ = ("perms", "fixed", "cycle_ids")
+
+    def __init__(self, n: int):
+        self.perms = tuple(all_permutations(n))
+        self.fixed = tuple(sum(1 << x for x, y in enumerate(p.image) if y == x + 1)
+                           for p in self.perms)
+        interned: dict[tuple[int, ...], int] = {}
+        self.cycle_ids = tuple(
+            tuple(interned.setdefault(c, len(interned))
+                  for c in Permutation._trusted(p.image).cycles())
+            for p in self.perms)
+
+
+_build_sn_table = functools.cache(_SnTable)
+
+
+def _sn_table(n: int, cap: int | None = None) -> _SnTable:
+    """The table of S_n, built on first use; refuses degrees beyond the
+    enumeration cap."""
     limit = config.enumeration_cap(cap)
     if n > limit:
         raise ValueError(f"degree {n} exceeds enumeration cap {limit}")
-    perms = tuple(all_permutations(n))
-    # Intern cycles as small integers so pair intersection is set-of-int work.
-    interned: dict[tuple[int, ...], int] = {}
-    ids = []
-    for p in perms:
-        row = []
-        for cycle in p.cycles():
-            key = interned.setdefault(cycle, len(interned))
-            row.append(key)
-        ids.append(frozenset(row))
-    m = len(perms)
-    adj = [0] * m
-    for u in range(m):
-        cu = ids[u]
-        row = adj[u]
-        for v in range(u + 1, m):
-            if len(cu & ids[v]) >= t:
-                row |= 1 << v
-                adj[v] |= 1 << u
-        adj[u] = row
-    return IntersectionGraph(n, t, perms, tuple(adj))
+    return _build_sn_table(n)
 
 
-def _require_intersecting(family: PermFamily, t: int) -> None:
-    if not is_family_t_cycle_intersecting(family, t):
-        raise ValueError(f"family is not {t}-cycle-intersecting")
+def _fixed_point_family(n: int, keep, cap: int | None = None) -> PermFamily:
+    """The permutations of S_n whose fixed-point bitmask satisfies ``keep``."""
+    table = _sn_table(n, cap)
+    return PermFamily(n, (p for p, mask in zip(table.perms, table.fixed) if keep(mask)))
+
+
+def _neighbourhoods(table: _SnTable, t: int):
+    """A function from a row to the bitset of the other rows sharing at least
+    t cycles with it: the OR, over t-subsets of the row's cycle ids, of the AND
+    of the per-cycle row bitsets, which live only as long as the function."""
+    full = (1 << len(table.perms)) - 1
+    having: dict[int, int] = {}
+    for r, ids in enumerate(table.cycle_ids):
+        for c in ids:
+            having[c] = having.get(c, 0) | 1 << r
+
+    def neighbours(r: int) -> int:
+        row = 0
+        for subset in itertools.combinations(table.cycle_ids[r], max(t, 0)):
+            row |= functools.reduce(operator.and_, (having[c] for c in subset), full)
+        return row & ~(1 << r)
+
+    return neighbours
+
+
+def build_intersection_graph(n: int, t: int,
+                             cap: int | None = None) -> IntersectionGraph:
+    """Materialize the graph; refuses degrees beyond the enumeration cap."""
+    table = _sn_table(n, cap)
+    adj = tuple(map(_neighbourhoods(table, t), range(len(table.perms))))
+    return IntersectionGraph(n, t, table.perms, adj)
 
 
 def is_maximal(family: PermFamily, t: int, cap: int | None = None) -> bool:
     """No outside permutation t-cycle-intersects every member."""
-    limit = config.enumeration_cap(cap)
-    if family.n > limit:
-        raise ValueError(f"degree {family.n} exceeds enumeration cap {limit}")
-    _require_intersecting(family, t)
-    for candidate in all_permutations(family.n):
-        if candidate in family:
-            continue
-        if all(is_t_cycle_intersecting_pair(candidate, m, t) for m in family):
-            return False
-    return True
+    return len(maximalize(family, t, cap)) == len(family)
 
 
 def maximalize(family: PermFamily, t: int, cap: int | None = None) -> PermFamily:
-    """Extend to a maximal family, scanning candidates in lexicographic order.
+    """Extend to a maximal family, adding candidates in lexicographic order.
 
-    A single pass suffices: the kept family only grows, so any permutation
-    compatible with the final family was compatible when it was scanned.
+    Taking the lowest-ranked compatible permutation each time is a single
+    lexicographic pass: the kept family only grows, so a permutation passed
+    over stays incompatible.
     """
-    limit = config.enumeration_cap(cap)
-    if family.n > limit:
-        raise ValueError(f"degree {family.n} exceeds enumeration cap {limit}")
-    _require_intersecting(family, t)
+    table = _sn_table(family.n, cap)
+    if not is_family_t_cycle_intersecting(family, t):
+        raise ValueError(f"family is not {t}-cycle-intersecting")
+    neighbours = _neighbourhoods(table, t)
+    cand = (1 << len(table.perms)) - 1
+    for p in family:
+        cand &= neighbours(rank(p))
     members = list(family.members)
-    present = set(family.members)
-    for candidate in all_permutations(family.n):
-        if candidate in present:
-            continue
-        if all(is_t_cycle_intersecting_pair(candidate, m, t) for m in members):
-            members.append(candidate)
-            present.add(candidate)
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        members.append(table.perms[v])
+        cand &= neighbours(v)
     return PermFamily(family.n, members)
-
-
-def graph_rank(perm: Permutation) -> int:
-    """Vertex index of a permutation in the intersection graph."""
-    return rank(perm)

@@ -39,6 +39,15 @@ class Permutation:
         self._cycles: tuple[tuple[int, ...], ...] | None = None
         self._cycle_set: frozenset[tuple[int, ...]] | None = None
 
+    @classmethod
+    def _trusted(cls, image: tuple[int, ...]) -> Permutation:
+        """Wrap an image tuple already known to be a permutation; no validation."""
+        perm = object.__new__(cls)
+        perm.image = image
+        perm._cycles = None
+        perm._cycle_set = None
+        return perm
+
     @property
     def n(self) -> int:
         return len(self.image)
@@ -220,4 +229,4 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     if n < 1:
         raise ValueError("degree must be at least 1")
     for image in itertools.permutations(range(1, n + 1)):
-        yield Permutation(image)
+        yield Permutation._trusted(image)

@@ -115,10 +115,17 @@ def test_gensets_failing_check_exits_one(tmp_path):
 def test_extremal_compare(tmp_path):
     out = tmp_path / "cmp.json"
     code = main(["extremal", "--n", "8", "--t", "4",
-                 "--families", "F0,F1", "--compare", "--out", str(out)])
+                 "--families", "F0,F1", "--out", str(out)])
     assert code == 0
     payload = read_json(out)
     assert payload["sizes"] == {"F0": 24, "F1": 26}
+
+
+def test_extremal_cross_check_failure_exits_one(monkeypatch, capsys):
+    from cycleint import extremal
+    monkeypatch.setattr(extremal, "f_family_size", lambda n, t, i: 0)
+    assert main(["extremal", "--n", "5", "--t", "2", "--families", "F0"]) == 1
+    assert "cross-check failed" in capsys.readouterr().err
 
 
 def test_extremal_rejects_unknown_family_name():

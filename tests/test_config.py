@@ -1,7 +1,6 @@
 import pytest
 
 from cycleint import config
-from cycleint.config import RunConfig
 
 
 def test_defaults():
@@ -23,22 +22,3 @@ def test_env_values_validated(monkeypatch):
     with pytest.raises(ValueError):
         config.search_cap()
 
-
-def test_run_config_validation():
-    cfg = RunConfig(seed=3, output_path="out.json")
-    assert cfg.enumeration_cap == 7 and cfg.search_cap == 6
-    with pytest.raises(ValueError):
-        RunConfig(enumeration_cap=0)
-    with pytest.raises(ValueError):
-        RunConfig(time_budget=-1.0)
-
-
-def test_run_config_from_env(monkeypatch):
-    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "5")
-    monkeypatch.setenv(config.SEARCH_CAP_ENV, "4")
-    cfg = RunConfig.from_env(seed=11)
-    assert cfg.enumeration_cap == 5
-    assert cfg.search_cap == 4
-    assert cfg.seed == 11
-    overridden = RunConfig.from_env(search_cap=6)
-    assert overridden.search_cap == 6

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from cycleint import config
+from cycleint.extremal import f_family
+from cycleint.gensets import fix_prefix_family
 from cycleint.intersect import (PermFamily,
                                 build_intersection_graph, common_cycles,
                                 is_family_t_cycle_intersecting, is_maximal,
@@ -12,6 +14,8 @@ from cycleint.intersect import (PermFamily,
                                 is_t_cycle_intersecting_pair, maximalize,
                                 pointwise_agreements, stabilized_points)
 from cycleint.perm import Permutation, all_permutations, conjugate, identity, rank
+from cycleint.search import (ENUMERATE_ALL, conjugacy_representatives,
+                             max_family_search)
 
 
 def stab(points, n):
@@ -95,14 +99,16 @@ def test_graph_small_examples():
 
 
 def test_graph_matches_pair_predicate():
-    for t in (1, 2):
-        g = build_intersection_graph(3, t)
-        perms = g.perms
-        for u in range(g.size):
-            for v in range(g.size):
-                expected = (u != v and
-                            is_t_cycle_intersecting_pair(perms[u], perms[v], t))
-                assert g.has_edge(u, v) == expected
+    for n in range(3, 6):
+        for t in range(n + 1):
+            g = build_intersection_graph(n, t)
+            perms = g.perms
+            assert perms == tuple(all_permutations(n))
+            for u in range(g.size):
+                for v in range(g.size):
+                    expected = (u != v and
+                                is_t_cycle_intersecting_pair(perms[u], perms[v], t))
+                    assert g.has_edge(u, v) == expected, (n, t, u, v)
 
 
 def test_graph_is_irreflexive_and_symmetric():
@@ -187,6 +193,65 @@ def test_maximalize_examples():
     assert is_maximal(fam, 2)
     # deterministic: same input, same output
     assert fam == maximalize(PermFamily(5, [identity(5)]), 2)
+
+
+def _scan_compatible(members, t):
+    """Outside permutations t-cycle-intersecting every member, by a plain
+    pair-predicate scan of S_n in rank order."""
+    return [p for p in all_permutations(members[0].n) if p not in members
+            and all(is_t_cycle_intersecting_pair(p, m, t) for m in members)]
+
+
+def _scan_maximalize(members, t):
+    members = list(members)
+    for p in all_permutations(members[0].n):
+        if p not in members and all(is_t_cycle_intersecting_pair(p, m, t)
+                                    for m in members):
+            members.append(p)
+    return members
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_maximalize_and_is_maximal_match_pair_scan(t):
+    rng = random.Random(100 + t)
+    perms = list(all_permutations(5))
+    for _ in range(8):
+        members = [rng.choice(perms)]
+        compatible = _scan_compatible(members, t)
+        if compatible:
+            members.append(rng.choice(compatible))
+        start = PermFamily(5, members)
+        expected = _scan_maximalize(members, t)
+        assert maximalize(start, t) == PermFamily(5, expected)
+        assert is_maximal(start, t) == (not _scan_compatible(members, t))
+        assert is_maximal(PermFamily(5, expected), t)
+        assert not _scan_compatible(expected, t)
+
+
+def test_s_n_walkers_build_no_validated_permutations(monkeypatch):
+    start = PermFamily(5, [identity(5)])
+    witnesses = max_family_search(5, 2, mode=ENUMERATE_ALL).witnesses
+    calls = [
+        lambda: build_intersection_graph(5, 2),
+        lambda: maximalize(start, 2),
+        lambda: is_maximal(stab({1, 2}, 5), 2),
+        lambda: f_family(5, 2, 1),
+        lambda: fix_prefix_family((1, 3), 5),
+        lambda: conjugacy_representatives(witnesses, 5),
+    ]
+    for call in calls:
+        call()  # warms the table of S_5
+    validated = []
+    original = Permutation.__init__
+
+    def counting_init(self, image):
+        validated.append(image)
+        original(self, image)
+
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
+    for call in calls:
+        call()
+    assert validated == []
 
 
 def test_maximalize_fixpoint_on_maximal_family():

@@ -3,11 +3,12 @@ import math
 
 import pytest
 
+from cycleint import config
 from cycleint.extremal import stabilizer_family
 from cycleint.intersect import (build_intersection_graph,
                                 is_family_t_cycle_intersecting, is_maximal)
 from cycleint.perm import identity
-from cycleint.report import HYPOTHESIS_NOT_MET, PASS
+from cycleint.report import FAIL, HYPOTHESIS_NOT_MET, PASS
 from cycleint.search import (ENUMERATE_ALL, conjugacy_representatives,
                              max_family_search,
                              naive_max_family_size, pipeline_roundtrip,
@@ -144,11 +145,23 @@ def test_conjugacy_representatives_collapse_stabilizers():
     assert len(reps) == 1
 
 
+def test_conjugacy_representatives_cap_refused(monkeypatch):
+    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "4")
+    with pytest.raises(ValueError, match="cap"):
+        conjugacy_representatives([], 5)
+
+
 def test_verify_max_bound_passes_at_small_instances():
     for n, t in ((3, 1), (4, 1), (5, 2)):
         rep = verify_max_bound(n, t)
         assert rep.passed
         assert all(r.status == PASS for r in rep.records)
+
+
+def test_verify_max_bound_expired_search_is_not_a_failure():
+    rep = verify_max_bound(5, 1, time_budget=0.0)
+    assert rep.passed
+    assert all(r.status != FAIL for r in rep.records)
 
 
 def test_verify_max_bound_hypothesis_gate():
