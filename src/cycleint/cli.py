@@ -312,6 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: input too large for this process",
+              file=sys.stderr)
+        return 2
     except AssertionError as exc:
         # an enumeration disagreed with its counting formula
         print(f"error: cross-check failed: {exc}", file=sys.stderr)

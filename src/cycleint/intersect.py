@@ -257,12 +257,17 @@ def maximalize(family: PermFamily, t: int, cap: int | None = None) -> PermFamily
     over stays incompatible.
     """
     table = _sn_table(family.n, cap)
-    if not is_family_t_cycle_intersecting(family, t):
-        raise ValueError(f"family is not {t}-cycle-intersecting")
     neighbours = _neighbourhoods(table, t)
+    ranks = [rank(p) for p in family]
+    family_mask = sum(1 << r for r in ranks)
     cand = (1 << len(table.perms)) - 1
-    for p in family:
-        cand &= neighbours(rank(p))
+    for r in ranks:
+        row = neighbours(r)
+        # the family is t-cycle-intersecting iff each member's row, with the
+        # member itself, holds every member
+        if family_mask & ~(row | 1 << r):
+            raise ValueError(f"family is not {t}-cycle-intersecting")
+        cand &= row
     members = list(family.members)
     while cand:
         v = (cand & -cand).bit_length() - 1

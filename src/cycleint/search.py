@@ -1,10 +1,14 @@
 """Exhaustive maximum-family search and the verification harnesses.
 
 The search is exact branch-and-bound maximum clique on the intersection
-graph: candidates live in big-int bitsets, branching follows a static
-degeneracy order, and a greedy coloring of each candidate set supplies the
-upper bound. In enumerate-all mode pruning keeps branches that can still tie
-the incumbent, so the returned witness list is complete and duplicate-free.
+graph, with candidates in big-int bitsets. Where a sharply t-transitive group
+is known (C_n for t = 1, PGL(2,p) for t = 3 and n = p + 1), its left cosets
+are checked to be independent in the graph; they then bound every clique by
+their number, and the search branches on the coset with the fewest live
+candidates. Elsewhere branching follows a static degeneracy order, and a
+greedy coloring of each candidate set supplies the upper bound. In
+enumerate-all mode pruning keeps branches that can still tie the incumbent,
+so the returned witness list is complete and duplicate-free.
 
 The naive oracle enumerates every t-cycle-intersecting family by direct
 recursion over lexicographically ordered permutations with no graph, bitsets,
@@ -14,7 +18,6 @@ pair predicate.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import time
@@ -30,7 +33,7 @@ from .intersect import (IntersectionGraph, PermFamily, _sn_table,
                         is_family_t_cycle_intersecting, is_maximal,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,
                         maximalize, stabilized_points)
-from .perm import all_permutations, unrank
+from .perm import Permutation, all_permutations, rank, unrank
 from .report import HYPOTHESIS_NOT_MET, PASS, VerificationReport
 from .transform import (compress_closure, fix_closure, is_compressed_family,
                         is_fixed_family, stabilizer_pullback_check)
@@ -52,6 +55,7 @@ class CliqueSearchResult:
     nodes: int = 0
     cutoffs: int = 0
     elapsed: float = 0.0
+    certificate: dict | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -59,7 +63,8 @@ class CliqueSearchResult:
             "max_size": self.max_size, "complete": self.complete,
             "witnesses": [w.to_json_dict()["perms"] for w in self.witnesses],
             "stats": {"nodes": self.nodes, "cutoffs": self.cutoffs,
-                      "elapsed_seconds": round(self.elapsed, 6)},
+                      "elapsed_seconds": round(self.elapsed, 6),
+                      "certificate": self.certificate},
         }
 
 
@@ -68,32 +73,104 @@ class BudgetExceeded(Exception):
 
 
 def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex; ties broken by rank."""
-    m = len(adj)
-    degree = [adj[v].bit_count() for v in range(m)]
-    removed = [False] * m
-    heap = [(degree[v], v) for v in range(m)]
-    heapq.heapify(heap)
+    """Repeatedly remove a minimum-degree vertex; ties broken by rank.
+
+    This is Matula and Beck's smallest-last order with a bucket queue: one
+    bitset of vertices per degree and a minimum-degree pointer, which can fall
+    by at most one per removal, so the lowest set bit of the lowest nonempty
+    bucket is the next vertex.
+    """
+    degree = [row.bit_count() for row in adj]
+    buckets = [0] * (max(degree, default=0) + 1)
+    for v, d in enumerate(degree):
+        buckets[d] |= 1 << v
+    remaining = (1 << len(adj)) - 1
     order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != degree[v]:
-            continue
-        removed[v] = True
+    low = 0
+    while remaining:
+        while not buckets[low]:
+            low += 1
+        v = (buckets[low] & -buckets[low]).bit_length() - 1
+        buckets[low] ^= 1 << v
+        remaining ^= 1 << v
         order.append(v)
-        row = adj[v]
+        row = adj[v] & remaining
         while row:
             u = (row & -row).bit_length() - 1
             row &= row - 1
-            if not removed[u]:
-                degree[u] -= 1
-                heapq.heappush(heap, (degree[u], u))
+            d = degree[u]
+            buckets[d] ^= 1 << u
+            buckets[d - 1] |= 1 << u
+            degree[u] = d - 1
+        low = max(low - 1, 0)
     return order
 
 
+def _coset_group(n: int, t: int) -> tuple[str, list[tuple[int, ...]]] | None:
+    """Name and generators (image tuples) of a sharply t-transitive group on
+    [n], where one is known here: C_n for t = 1, and PGL(2,p) acting on the
+    projective line for t = 3 and n = p + 1 with p prime."""
+    if t == 1:
+        return f"C_{n}", [tuple(range(2, n + 1)) + (1,)]
+    p = n - 1
+    if t != 3 or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        return None
+    root = next(g for g in range(1, p)
+                if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    # x in GF(p) is labelled x + 1 and the point at infinity is labelled n
+    shift = tuple((x + 1) % p + 1 for x in range(p)) + (n,)
+    scale = tuple(root * x % p + 1 for x in range(p)) + (n,)
+    invert = (n,) + tuple(pow(x, -1, p) + 1 for x in range(1, p)) + (1,)
+    return f"PGL(2,{p})", [shift, scale, invert]
+
+
+def _coset_classes(graph: IntersectionGraph):
+    """The left cosets of ``_coset_group(n, t)`` as (mask, members) classes of
+    the graph's vertices, with the certificate that they are a proper colouring,
+    so ``omega <= len(classes)``; None where there is no group or the checks
+    fail. Two permutations sharing t cycles agree on at least t points, and two
+    members of a coset of a sharply t-transitive group on fewer."""
+    found = _coset_group(graph.n, graph.t)
+    if found is None:
+        return None
+    name, generators = found
+    group = [tuple(range(1, graph.n + 1))]
+    seen = set(group)
+    for h in group:  # breadth-first closure under composition h . g
+        for g in generators:
+            hg = tuple(h[y - 1] for y in g)
+            if hg not in seen:
+                seen.add(hg)
+                group.append(hg)
+    m = graph.size
+    classes = []
+    covered = 0
+    for v, sigma in enumerate(graph.perms):
+        if (covered >> v) & 1:
+            continue
+        members = sorted({rank(Permutation._trusted(tuple(sigma.image[y - 1] for y in h)))
+                          for h in group})
+        mask = sum(1 << u for u in members)
+        if covered & mask or any(graph.adj[u] & mask for u in members):
+            return None
+        covered |= mask
+        classes.append((mask, members))
+    if covered != (1 << m) - 1 or len(classes) * len(group) != m:
+        return None
+    certificate = {"group": name, "generators": [list(g) for g in generators],
+                   "order": len(group), "classes": len(classes)}
+    return certificate, classes
+
+
 class _CliqueSearch:
+    """Exact maximum clique search with one of two strategies, chosen at the
+    root: the coset search where ``_coset_classes`` certifies a colouring,
+    else branch-and-bound over a static degeneracy order with a greedy
+    colouring bound per node."""
+
     def __init__(self, graph: IntersectionGraph, enumerate_all: bool,
                  deadline: float | None):
+        self.graph = graph
         self.adj = graph.adj
         self.enumerate_all = enumerate_all
         self.deadline = deadline
@@ -101,12 +178,90 @@ class _CliqueSearch:
         self.cliques: list[tuple[int, ...]] = []
         self.nodes = 0
         self.cutoffs = 0
-        self.scan_order = _degeneracy_order(graph.adj)
+        self.certificate: dict | None = None
 
     def run(self) -> None:
+        # the root is node 1, and it reads the clock before any coset or
+        # ordering work
+        self._tick()
         full = (1 << len(self.adj)) - 1
+        found = _coset_classes(self.graph)
+        if found is not None:
+            self.certificate, classes = found
+            self._cover(classes, full)
+            return
+        self.scan_order = _degeneracy_order(self.adj)
         if full:
-            self._expand([], full)
+            self._branch([], full)
+
+    def _tick(self) -> None:
+        self.nodes += 1
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded
+
+    def _cut(self, bound: int) -> bool:
+        """Whether a node with this bound can neither beat nor, in
+        enumerate-all mode, tie the incumbent; counts the cutoff."""
+        cut = bound < self.best or (bound == self.best and not self.enumerate_all)
+        self.cutoffs += cut
+        return cut
+
+    def _record(self, clique: list[int]) -> None:
+        size = len(clique)
+        if size > self.best:
+            self.best = size
+            self.cliques = [tuple(clique)]
+        elif size == self.best and self.enumerate_all:
+            self.cliques.append(tuple(clique))
+
+    def _cover(self, classes: list[tuple[int, list[int]]], full: int) -> None:
+        """Search over independent classes that cover the vertices.
+
+        A clique meets each class at most once, so a node's bound is the
+        clique so far plus the number of classes with a live candidate. A
+        node branches on the live class with the fewest candidates (lowest
+        index on ties), as in Knuth's Algorithm X: each candidate in rank
+        order, then one branch that skips the class, so the search stays
+        exact when omega is below the class count. An explicit stack holds
+        the open nodes, as the depth reaches the clique size.
+        """
+        adj = self.adj
+        chosen: list[int] = []
+        # per open node: its candidates, clique size and bound, the branching
+        # class's mask, the other live classes, and an iterator over the
+        # branches still to take (a member to include, or -1 to skip)
+        stack: list[tuple] = []
+
+        def open_node(cand: int, live: list[int]) -> None:
+            counts = [((cand & classes[k][0]).bit_count(), k) for k in live]
+            counts = [ck for ck in counts if ck[0]]
+            bound = len(chosen) + len(counts)
+            if self._cut(bound):
+                return
+            k = min(counts)[1]
+            mask, members = classes[k]
+            branches = iter([v for v in members if (cand >> v) & 1] + [-1])
+            stack.append((cand, len(chosen), bound, mask,
+                          [j for _, j in counts if j != k], branches))
+
+        open_node(full, list(range(len(classes))))
+        while stack:
+            cand, size, bound, mask, rest, branches = stack[-1]
+            del chosen[size:]
+            v = next(branches, None)
+            if v is None or self._cut(bound - (v < 0)):
+                stack.pop()
+                continue
+            if v < 0:
+                cand &= ~mask
+            else:
+                chosen.append(v)
+                cand &= adj[v]
+            if cand:
+                self._tick()
+                open_node(cand, rest)
+            else:
+                self._record(chosen)
 
     def _color_sort(self, cand: int) -> tuple[list[int], list[int]]:
         """Greedy coloring in static order; vertices returned by ascending
@@ -135,29 +290,18 @@ class _CliqueSearch:
                 colors.append(number)
         return order, colors
 
-    def _record(self, clique: list[int]) -> None:
-        size = len(clique)
-        if size > self.best:
-            self.best = size
-            self.cliques = [tuple(clique)]
-        elif size == self.best and self.enumerate_all:
-            self.cliques.append(tuple(clique))
-
-    def _expand(self, chosen: list[int], cand: int) -> None:
-        self.nodes += 1
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded
+    def _branch(self, chosen: list[int], cand: int) -> None:
         order, colors = self._color_sort(cand)
         for idx in range(len(order) - 1, -1, -1):
             bound = len(chosen) + colors[idx]
-            if bound < self.best or (bound == self.best and not self.enumerate_all):
-                self.cutoffs += 1
+            if self._cut(bound):
                 return
             v = order[idx]
             newcand = cand & self.adj[v]
             chosen.append(v)
             if newcand:
-                self._expand(chosen, newcand)
+                self._tick()
+                self._branch(chosen, newcand)
             else:
                 self._record(chosen)
             chosen.pop()
@@ -201,7 +345,7 @@ def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
     return CliqueSearchResult(
         n=n, t=t, mode=mode, max_size=search.best, witnesses=tuple(witnesses),
         complete=complete, nodes=search.nodes, cutoffs=search.cutoffs,
-        elapsed=time.monotonic() - start)
+        elapsed=time.monotonic() - start, certificate=search.certificate)
 
 
 def naive_max_family_size(n: int, t: int) -> int:
@@ -258,7 +402,8 @@ def verify_max_bound(n: int, t: int, time_budget: float | None = None,
     result = max_family_search(n, t, mode=ENUMERATE_ALL,
                                time_budget=time_budget, cap=cap)
     rep.stats["search"] = {"nodes": result.nodes, "elapsed": result.elapsed,
-                           "complete": result.complete}
+                           "complete": result.complete,
+                           "certificate": result.certificate}
     expected = math.factorial(n - t)
     sizes = {"expected": expected, "got": result.max_size}
     if result.complete or result.max_size > expected:

@@ -221,3 +221,17 @@ def test_verify_suite_all(tmp_path):
     payload = read_json(out)
     assert payload["passed"] is True
     assert len(payload["records"]) >= 40
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_resource_errors_exit_2(monkeypatch, capsys, error):
+    from cycleint import search
+
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(search, "max_family_search", exhausted)
+    assert main(["search", "--n", "4", "--t", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error.__name__}: ")
+    assert "Traceback" not in err

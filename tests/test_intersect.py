@@ -13,7 +13,8 @@ from cycleint.intersect import (PermFamily,
                                 is_stabilizer_of_points,
                                 is_t_cycle_intersecting_pair, maximalize,
                                 pointwise_agreements, stabilized_points)
-from cycleint.perm import Permutation, all_permutations, conjugate, identity, rank
+from cycleint.perm import (Permutation, all_permutations, conjugate, from_cycles,
+                           identity, rank)
 from cycleint.search import (ENUMERATE_ALL, conjugacy_representatives,
                              max_family_search)
 
@@ -184,6 +185,18 @@ def test_is_maximal_rejects_non_intersecting_family():
         is_maximal(whole, 1)
     with pytest.raises(ValueError):
         maximalize(whole, 1)
+
+
+def test_maximalize_rejects_one_non_intersecting_member():
+    # the identity and (1 2) share the 1-cycles (3), (4), (5); the 5-cycle
+    # shares no cycle with the identity
+    family = PermFamily(5, [identity(5), from_cycles(5, [(1, 2)]),
+                            from_cycles(5, [(1, 2, 3, 4, 5)])])
+    with pytest.raises(ValueError, match="not 1-cycle-intersecting"):
+        maximalize(family, 1)
+    assert len(maximalize(PermFamily(5, family.members[:2]), 1)) > 2
+    with pytest.raises(ValueError, match="not 4-cycle-intersecting"):
+        is_maximal(PermFamily(5, family.members[:2]), 4)
 
 
 def test_maximalize_examples():

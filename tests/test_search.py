@@ -1,9 +1,10 @@
+import heapq
 import itertools
 import math
 
 import pytest
 
-from cycleint import config
+from cycleint import config, search
 from cycleint.extremal import stabilizer_family
 from cycleint.intersect import (build_intersection_graph,
                                 is_family_t_cycle_intersecting, is_maximal)
@@ -225,3 +226,124 @@ def test_run_suite_all_small():
     assert "branch-and-bound-matches-naive-oracle" in checks
     assert "prefix-fix-counts-match-formula" in checks
     assert "size-preserved-by-closures" in checks
+
+
+def _heap_degeneracy_order(adj):
+    """Smallest-last order with a lazy heap of (degree, vertex) entries: the
+    reference for the bucket queue."""
+    degree = [row.bit_count() for row in adj]
+    removed = [False] * len(adj)
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != degree[v]:
+            continue
+        removed[v] = True
+        order.append(v)
+        for u in range(len(adj)):
+            if (adj[v] >> u) & 1 and not removed[u]:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
+    return order
+
+
+def test_degeneracy_order_matches_heap_reference():
+    for n in range(1, 7):
+        for t in range(0, n + 1):
+            adj = build_intersection_graph(n, t).adj
+            assert search._degeneracy_order(adj) == _heap_degeneracy_order(adj), (n, t)
+
+
+def test_budget_is_read_before_the_vertex_ordering(monkeypatch):
+    def refuse(adj):
+        raise AssertionError("ordering ran after the budget expired")
+
+    monkeypatch.setattr(search, "_degeneracy_order", refuse)
+    result = max_family_search(6, 2, time_budget=0.0)
+    assert not result.complete
+    assert result.nodes == 1
+
+
+def _fallback(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_coset_group", lambda n, t: None)
+        return max_family_search(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n,t,group", [(3, 1, "C_3"), (4, 1, "C_4"), (5, 1, "C_5"),
+                                       (6, 1, "C_6"), (4, 3, "PGL(2,3)"),
+                                       (6, 3, "PGL(2,5)")])
+def test_coset_search_matches_fallback(monkeypatch, n, t, group):
+    certified = max_family_search(n, t, mode=ENUMERATE_ALL)
+    fallback = _fallback(monkeypatch, n, t, mode=ENUMERATE_ALL)
+    assert certified.complete and fallback.complete
+    assert certified.max_size == fallback.max_size
+    assert certified.witnesses == fallback.witnesses
+    assert max_family_search(n, t).max_size == certified.max_size
+    cert = certified.certificate
+    assert cert["group"] == group
+    assert cert["classes"] * cert["order"] == math.factorial(n)
+    assert cert["classes"] >= certified.max_size
+    assert fallback.certificate is None
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_both_search_paths_agree_with_naive_oracle(monkeypatch, certified):
+    if not certified:
+        monkeypatch.setattr(search, "_coset_group", lambda n, t: None)
+    for n in range(1, 5):
+        for t in range(1, n + 1):
+            result = max_family_search(n, t)
+            assert result.max_size == naive_max_family_size(n, t), (n, t)
+            assert (result.certificate is not None) == (certified and t in (1, 3))
+
+
+def test_class_search_with_singleton_classes_matches_clique_search(monkeypatch):
+    # the trivial group gives n! singleton classes, so omega is far below the
+    # class count and every maximum clique needs the skip branch
+    for n in range(1, 6):
+        for t in range(1, n + 1):
+            for mode in (search.SIZE_ONLY, ENUMERATE_ALL):
+                fallback = _fallback(monkeypatch, n, t, mode=mode)
+                monkeypatch.setattr(search, "_coset_group",
+                                    lambda n, t: ("trivial", [tuple(range(1, n + 1))]))
+                singletons = max_family_search(n, t, mode=mode)
+                assert singletons.certificate["classes"] == math.factorial(n)
+                assert singletons.max_size == fallback.max_size, (n, t, mode)
+                if mode == ENUMERATE_ALL:
+                    assert singletons.witnesses == fallback.witnesses, (n, t)
+
+
+def test_dependent_cosets_fall_back(monkeypatch):
+    # <(1 2)> is not sharply 1-transitive: sigma and sigma.(1 2) share the
+    # 1-cycles of sigma on 3..5, so its cosets are not independent
+    monkeypatch.setattr(search, "_coset_group", lambda n, t: ("S_2", [(2, 1, 3, 4, 5)]))
+    result = max_family_search(5, 1, mode=ENUMERATE_ALL)
+    assert result.certificate is None
+    fallback = _fallback(monkeypatch, 5, 1, mode=ENUMERATE_ALL)
+    assert (result.max_size, result.witnesses) == (fallback.max_size, fallback.witnesses)
+    assert result.nodes == fallback.nodes
+
+
+def test_certified_search_reads_budget_at_the_root():
+    result = max_family_search(6, 1, mode=ENUMERATE_ALL, time_budget=0.0)
+    assert not result.complete
+    assert result.nodes == 1
+    assert result.certificate is None
+
+
+def test_certificate_is_reported():
+    data = max_family_search(5, 1).to_json_dict()
+    assert data["stats"]["certificate"] == {
+        "group": "C_5", "generators": [[2, 3, 4, 5, 1]], "order": 5, "classes": 24}
+    rep = verify_max_bound(6, 1)
+    assert rep.stats["search"]["certificate"]["group"] == "C_6"
+
+
+def test_seven_one_is_proven():
+    rep = verify_max_bound(7, 1, time_budget=120.0)
+    assert rep.passed
+    assert all(r.status == PASS for r in rep.records)
+    assert rep.stats["search"]["certificate"]["classes"] == 720
