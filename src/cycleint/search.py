@@ -1,14 +1,13 @@
 """Exhaustive maximum-family search and the verification harnesses.
 
 The search is exact branch-and-bound maximum clique on the intersection
-graph, with candidates in big-int bitsets. Where a sharply t-transitive group
-is known (C_n for t = 1, PGL(2,p) for t = 3 and n = p + 1), its left cosets
-are checked to be independent in the graph; they then bound every clique by
-their number, and the search branches on the coset with the fewest live
-candidates. Elsewhere branching follows a static degeneracy order, and a
-greedy coloring of each candidate set supplies the upper bound. In
-enumerate-all mode pruning keeps branches that can still tie the incumbent,
-so the returned witness list is complete and duplicate-free.
+graph, with candidates in big-int bitsets. For t = 1 the left cosets of the
+sharply 1-transitive group C_n are checked to be independent in the graph;
+they then bound every clique by their number, and the search branches on the
+coset with the fewest live candidates. Elsewhere branching follows a static
+degeneracy order, and a greedy coloring of each candidate set supplies the
+upper bound. In enumerate-all mode pruning keeps branches that can still tie
+the incumbent, so the returned witness list is complete and duplicate-free.
 
 The naive oracle enumerates every t-cycle-intersecting family by direct
 recursion over lexicographically ordered permutations with no graph, bitsets,
@@ -108,20 +107,10 @@ def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
 
 def _coset_group(n: int, t: int) -> tuple[str, list[tuple[int, ...]]] | None:
     """Name and generators (image tuples) of a sharply t-transitive group on
-    [n], where one is known here: C_n for t = 1, and PGL(2,p) acting on the
-    projective line for t = 3 and n = p + 1 with p prime."""
+    [n], where one is known here: C_n, generated by the n-cycle, for t = 1."""
     if t == 1:
         return f"C_{n}", [tuple(range(2, n + 1)) + (1,)]
-    p = n - 1
-    if t != 3 or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-        return None
-    root = next(g for g in range(1, p)
-                if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
-    # x in GF(p) is labelled x + 1 and the point at infinity is labelled n
-    shift = tuple((x + 1) % p + 1 for x in range(p)) + (n,)
-    scale = tuple(root * x % p + 1 for x in range(p)) + (n,)
-    invert = (n,) + tuple(pow(x, -1, p) + 1 for x in range(1, p)) + (1,)
-    return f"PGL(2,{p})", [shift, scale, invert]
+    return None
 
 
 def _coset_classes(graph: IntersectionGraph):

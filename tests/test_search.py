@@ -273,8 +273,7 @@ def _fallback(monkeypatch, *args, **kwargs):
 
 
 @pytest.mark.parametrize("n,t,group", [(3, 1, "C_3"), (4, 1, "C_4"), (5, 1, "C_5"),
-                                       (6, 1, "C_6"), (4, 3, "PGL(2,3)"),
-                                       (6, 3, "PGL(2,5)")])
+                                       (6, 1, "C_6")])
 def test_coset_search_matches_fallback(monkeypatch, n, t, group):
     certified = max_family_search(n, t, mode=ENUMERATE_ALL)
     fallback = _fallback(monkeypatch, n, t, mode=ENUMERATE_ALL)
@@ -297,7 +296,7 @@ def test_both_search_paths_agree_with_naive_oracle(monkeypatch, certified):
         for t in range(1, n + 1):
             result = max_family_search(n, t)
             assert result.max_size == naive_max_family_size(n, t), (n, t)
-            assert (result.certificate is not None) == (certified and t in (1, 3))
+            assert (result.certificate is not None) == (certified and t == 1)
 
 
 def test_class_search_with_singleton_classes_matches_clique_search(monkeypatch):
