@@ -15,7 +15,8 @@ import sys
 from . import search
 from .extremal import compare_extremal, quad_inequality_check
 from .gensets import (certify_generating_set, check_pair_overlap_t_plus_one,
-                      disjoint_union_check, fix_system, is_t_intersecting_system)
+                      disjoint_union_check, fix_system, is_generating_set,
+                      is_t_intersecting_system)
 from .intersect import PermFamily, maximalize
 from .report import VerificationReport
 from .transform import compress_closure, fix_closure
@@ -114,7 +115,6 @@ def _cmd_gensets(args) -> int:
         raise UsageError("--check requires --t")
     for name in wanted:
         if name == "generating-set":
-            from .gensets import is_generating_set
             rep.add_bool(name, params, is_generating_set(cert.system, family))
         elif name == "t-intersecting":
             rep.add_bool(name, params,

@@ -18,14 +18,14 @@ from .gensets import _pattern_count, up_permutations
 from .intersect import PermFamily, _fixed_point_family
 
 
-def stabilizer_family(points, n: int) -> PermFamily:
+def stabilizer_family(points, n: int, cap: int | None = None) -> PermFamily:
     """All permutations fixing every listed point; size (n - t)!."""
     pts = [int(x) for x in points]
     if len(set(pts)) != len(pts):
         raise ValueError("stabilized points must be distinct")
     if len(pts) > n:
         raise ValueError("more points than the degree allows")
-    return up_permutations(pts, n)
+    return up_permutations(pts, n, cap)
 
 
 def f_family(n: int, t: int, i: int, cap: int | None = None) -> PermFamily:

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import config, report
-from .intersect import (PermFamily, _fixed_point_family,
+from .intersect import (PermFamily, _fixed_point_family, _sn_table,
                         is_family_t_cycle_intersecting, is_maximal)
-from .perm import Permutation
+from .perm import Permutation, rank
 from .report import CheckResult
+from .transform import is_compressed_family, is_fixed_family
 
 
 class SetSystem:
@@ -56,7 +57,7 @@ class SetSystem:
             raise ValueError('set-system JSON must be an object with "n" and "sets"')
         try:
             return cls(int(data["n"]), data["sets"])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"sets: {exc}") from None
 
     def to_json_dict(self) -> dict:
@@ -98,37 +99,42 @@ class SetSystem:
         return SetSystem(self.n, (s for s in self.sets if s not in other))
 
 
-def up_permutations(points: Iterable[int], n: int) -> PermFamily:
+def up_permutations(points: Iterable[int], n: int,
+                    cap: int | None = None) -> PermFamily:
     """All degree-n permutations fixing every listed point; size (n - |B|)!."""
-    fixed = sorted(set(int(x) for x in points))
-    for x in fixed:
+    want = 0
+    for x in sorted(set(int(x) for x in points)):
         if not 1 <= x <= n:
             raise ValueError(f"point {x} out of range [1, {n}]")
-    movable = [x for x in range(1, n + 1) if x not in set(fixed)]
-    perms = []
-    for arrangement in itertools.permutations(movable):
-        image = list(range(1, n + 1))
-        for slot, value in zip(movable, arrangement):
-            image[slot - 1] = value
-        perms.append(Permutation(image))
-    return PermFamily(n, perms)
+        want |= 1 << (x - 1)
+    return _fixed_point_family(n, lambda mask: mask & want == want, cap)
 
 
-def up_permutations_system(system: SetSystem) -> PermFamily:
-    """Union of the up-permutation sets of all members, deduplicated."""
-    acc: set[Permutation] = set()
-    for member in system:
-        acc.update(up_permutations(member, system.n))
-    return PermFamily(system.n, acc)
+def up_permutations_system(system: SetSystem,
+                           cap: int | None = None) -> PermFamily:
+    """Union of the up-permutation sets of all members."""
+    masks = system.masks
+    return _fixed_point_family(
+        system.n, lambda mask: any(mask & b == b for b in masks), cap)
+
+
+def _fixed_mask(perm: Permutation) -> int:
+    return sum(1 << (x - 1) for x in perm.fixed_points())
 
 
 def is_generating_set(system: SetSystem, family: PermFamily) -> bool:
-    """No member of cardinality n-1, and the up-permutations union to the family."""
-    if system.n != family.n:
+    """No member of cardinality n-1, and the up-permutations union to the family.
+
+    Decided on fixed-point masks, with no walk over S_n: the family lies in
+    U(G) when every member fixes some B in G, and U(B) in the family when
+    (n - |B|)! = |U(B)| members fix B."""
+    n = system.n
+    if n != family.n or any(len(s) == n - 1 for s in system):
         return False
-    if any(len(s) == system.n - 1 for s in system):
-        return False
-    return up_permutations_system(system) == family
+    fixed = [_fixed_mask(p) for p in family]
+    return (all(any(m & b == b for b in system.masks) for m in fixed)
+            and all(sum(m & b == b for m in fixed) == math.factorial(n - b.bit_count())
+                    for b in system.masks))
 
 
 def fix_system(family: PermFamily) -> SetSystem:
@@ -269,22 +275,28 @@ def fix_prefix_count(n: int, size: int, top: int) -> int:
     return _pattern_count(n, size, top)
 
 
-def fix_prefix_family(points: Iterable[int], n: int,
-                      cap: int | None = None) -> PermFamily:
-    """Permutations whose fixed points within [1..max(points)] equal the set."""
+def _prefix_masks(points: Iterable[int], n: int) -> tuple[int, int]:
+    """The window [1..max(points)] and the pattern, as fixed-point masks."""
     member = tuple(sorted(set(int(x) for x in points)))
     if not member:
         raise ValueError("pattern must be nonempty")
     if not 1 <= member[-1] <= n:
         raise ValueError(f"pattern not contained in [1, {n}]")
-    prefix = (1 << member[-1]) - 1
-    wanted = sum(1 << (x - 1) for x in member)
+    return (1 << member[-1]) - 1, sum(1 << (x - 1) for x in member)
+
+
+def fix_prefix_family(points: Iterable[int], n: int,
+                      cap: int | None = None) -> PermFamily:
+    """Permutations whose fixed points within [1..max(points)] equal the set."""
+    prefix, wanted = _prefix_masks(points, n)
     return _fixed_point_family(n, lambda mask: mask & prefix == wanted, cap)
 
 
 def fix_prefix_size(points: Iterable[int], n: int, mode: str = "auto",
                     cap: int | None = None) -> int:
     """|fix_prefix_family| by enumeration, formula, or both ("check" mode)."""
+    if mode not in ("auto", "formula", "check"):
+        raise ValueError(f"unknown mode {mode!r}; choose auto, formula or check")
     member = tuple(sorted(set(int(x) for x in points)))
     if not member:
         raise ValueError("pattern must be nonempty")
@@ -313,14 +325,9 @@ def reduced_fix_prefix_family(points: Iterable[int], n: int,
     need a permutation fixing exactly n-1 points: |pattern| = n-2 with
     top = n.
     """
-    member = tuple(sorted(set(int(x) for x in points)))
-    if not member:
-        raise ValueError("pattern must be nonempty")
-    if not 1 <= member[-1] <= n:
-        raise ValueError(f"pattern not contained in [1, {n}]")
-    prefix = (1 << (member[-1] - 1)) - 1
-    reduced = sum(1 << (x - 1) for x in member[:-1])
-    return _fixed_point_family(n, lambda mask: mask & prefix == reduced, cap)
+    prefix, wanted = _prefix_masks(points, n)
+    prefix >>= 1
+    return _fixed_point_family(n, lambda mask: mask & prefix == wanted & prefix, cap)
 
 
 def reduced_fix_prefix_size(points: Iterable[int], n: int) -> int:
@@ -337,43 +344,41 @@ def reduced_fix_prefix_size(points: Iterable[int], n: int) -> int:
 
 def is_t_intersecting_system(system: SetSystem, t: int) -> bool:
     """Every two distinct members share at least t elements."""
-    masks = system.masks
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (masks[i] & masks[j]).bit_count() < t:
-                return False
-    return True
-
-
-def _decompose(family: PermFamily, system: SetSystem,
-               cap: int | None = None):
-    classes = {}
-    for member in system:
-        if not member:
-            raise ValueError("decomposition pattern must be nonempty")
-        classes[member] = set(fix_prefix_family(member, family.n, cap).members)
-    return classes
+    return all((a & b).bit_count() >= t
+               for a, b in itertools.combinations(system.masks, 2))
 
 
 def is_disjoint_union(family: PermFamily, system: SetSystem,
                       cap: int | None = None) -> CheckResult:
-    """Do the prefix-fix classes of the members partition the family?"""
-    classes = _decompose(family, system, cap)
-    members = list(classes.items())
-    for (e1, c1), (e2, c2) in itertools.combinations(members, 2):
-        overlap = c1 & c2
-        if overlap:
-            witness = {"sets": [list(e1), list(e2)],
-                       "perm": list(min(overlap).image)}
+    """Do the prefix-fix classes of the members partition the family?
+
+    Each class is a bitset over the rows of the S_n table. Rows are in rank
+    order, which is permutation order, so the lowest set bit of an overlap or
+    a difference is its least permutation.
+    """
+    n = family.n
+    if any(not member for member in system):
+        raise ValueError("decomposition pattern must be nonempty")
+    patterns = [_prefix_masks(member, n) for member in system]
+    classes = [sum(1 << r for r, mask in enumerate(_sn_table(n, cap).fixed)
+                   if mask & prefix == wanted) for prefix, wanted in patterns]
+
+    def images(rows: int, count: int) -> list[list[int]]:
+        bits = [r for r in range(rows.bit_length()) if rows >> r & 1][:count]
+        return [list(_sn_table(n, cap).perms[r].image) for r in bits]
+
+    for (e1, c1), (e2, c2) in itertools.combinations(zip(system, classes), 2):
+        if c1 & c2:
+            witness = {"sets": [list(e1), list(e2)], "perm": images(c1 & c2, 1)[0]}
             return report.failed(witness, "classes overlap")
-    union: set[Permutation] = set()
-    for c in classes.values():
-        union |= c
-    if union != set(family.members):
-        missing = sorted(set(family.members) - union)
-        extra = sorted(union - set(family.members))
-        witness = {"missing": [list(p.image) for p in missing[:3]],
-                   "extra": [list(p.image) for p in extra[:3]]}
+    union = sum(classes)  # the classes are pairwise disjoint by now
+    # the family lies in the union when every member matches a pattern, and
+    # then equals it when the sizes agree
+    missing = [list(p.image) for p, m in zip(family, map(_fixed_mask, family))
+               if not any(m & prefix == wanted for prefix, wanted in patterns)]
+    if missing or union.bit_count() != len(family):
+        extra = union & ~sum(1 << rank(p) for p in family)
+        witness = {"missing": missing[:3], "extra": images(extra, 3)}
         return report.failed(witness, "union differs from family")
     return report.passed()
 
@@ -389,8 +394,6 @@ def disjoint_union_check(family: PermFamily, system: SetSystem | None = None,
     t-cycle-intersecting and maximal as well. Unmet hypotheses are reported
     distinctly from a failed partition.
     """
-    from .transform import is_compressed_family, is_fixed_family
-
     if not family.members:
         return report.hypothesis_not_met(detail="empty family")
     if system is None:
@@ -530,9 +533,6 @@ def generating_set_surgery(system: SetSystem, t: int, size_class: int,
                            cap: int | None = None) -> SurgeryReport:
     """Rebuild the system around one size class of its top partition and
     report whether the up-permutation family strictly grows."""
-    limit = config.enumeration_cap(cap)
-    if system.n > limit:
-        raise ValueError(f"degree {system.n} exceeds enumeration cap {limit}")
     partition = partition_by_max_element(system, t)
     delta = partition.delta
     s_plus = t + delta
@@ -540,7 +540,7 @@ def generating_set_surgery(system: SetSystem, t: int, size_class: int,
     if i not in partition.size_classes:
         raise ValueError(f"size class {i} is empty")
     r_i = partition.size_classes[i]
-    base_size = len(up_permutations_system(system))
+    base_size = len(up_permutations_system(system, cap))
     partner = 2 * t + delta - i
 
     if i != partner:
@@ -549,7 +549,7 @@ def generating_set_surgery(system: SetSystem, t: int, size_class: int,
         f1 = trimmed.union(_drop_top(r_i, s_plus))
         f2 = trimmed.union(_drop_top(r_partner, s_plus))
         candidates = {"f1": f1, "f2": f2}
-        sizes = {k: len(up_permutations_system(v)) for k, v in candidates.items()}
+        sizes = {k: len(up_permutations_system(v, cap)) for k, v in candidates.items()}
         best = max(sizes.values())
         return SurgeryReport(
             case=1, n=system.n, t=t, delta=delta, size_class=i,
@@ -570,7 +570,7 @@ def generating_set_surgery(system: SetSystem, t: int, size_class: int,
     # Pigeonhole guarantee: |T'| >= |R_i| * (delta/2) / (t + delta - 1).
     pigeon_ok = len(survivors) >= Fraction(len(r_i) * delta, 2 * (s_plus - 1))
     f_prime = system.difference(r_i).union(survivors)
-    size = len(up_permutations_system(f_prime))
+    size = len(up_permutations_system(f_prime, cap))
     return SurgeryReport(
         case=2, n=system.n, t=t, delta=delta, size_class=i,
         base_size=base_size, candidates={"f_prime": f_prime},

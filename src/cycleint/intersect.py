@@ -56,9 +56,14 @@ class PermFamily:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PermFamily":
-        if not isinstance(data, dict) or "n" not in data or "perms" not in data:
-            raise ValueError('family JSON must be an object with "n" and "perms"')
-        return cls.from_images(int(data["n"]), data["perms"])
+        if (not isinstance(data, dict) or "n" not in data
+                or not isinstance(data.get("perms"), (list, tuple))):
+            raise ValueError('family JSON must be an object with "n" and a "perms" list')
+        try:
+            n = int(data["n"])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f'"n" must be an integer, got {data["n"]!r}') from None
+        return cls.from_images(n, data["perms"])
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "perms": [list(p.image) for p in self.members]}

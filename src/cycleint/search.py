@@ -17,6 +17,7 @@ pair predicate.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -25,8 +26,10 @@ from dataclasses import dataclass
 from . import config
 from .extremal import (f_family, f_family_size, quad_inequality_check,
                        stabilizer_family)
-from .gensets import (derive_star_generating_set, fix_system, is_disjoint_union,
-                      is_generating_set, is_t_intersecting_system)
+from .gensets import (SetSystem, derive_star_generating_set, fix_prefix_count,
+                      fix_prefix_family, fix_system, generating_set_surgery,
+                      is_disjoint_union, is_generating_set,
+                      is_t_intersecting_system, reduced_fix_prefix_family)
 from .intersect import (IntersectionGraph, PermFamily, _sn_table,
                         build_intersection_graph,
                         is_family_t_cycle_intersecting, is_maximal,
@@ -414,7 +417,7 @@ def verify_max_bound(n: int, t: int, time_budget: float | None = None,
                  len(result.witnesses) == expected_count,
                  witness={"expected": expected_count, "got": len(result.witnesses)})
     mismatched = [w for w in result.witnesses
-                  if w != stabilizer_family(stabilized_points(w)[:t], n)]
+                  if w != stabilizer_family(stabilized_points(w)[:t], n, cap=n)]
     rep.add_bool("witnesses-equal-their-point-stabilizers", params,
                  not mismatched,
                  witness=mismatched[0].to_json_dict() if mismatched else None)
@@ -517,10 +520,6 @@ def verify_surgery_instances(cap: int | None = None) -> VerificationReport:
     """The documented surgery demonstration: on the system of all 4-subsets
     of [5] with t = 3 the rebuilt family is strictly larger at n = 7 and only
     ties at n = 6."""
-    import itertools
-
-    from .gensets import SetSystem, generating_set_surgery
-
     rep = VerificationReport("surgery")
     for n, expect_gain in ((7, True), (6, False)):
         system = SetSystem(n, itertools.combinations(range(1, 6), 4))
@@ -540,11 +539,6 @@ def verify_surgery_instances(cap: int | None = None) -> VerificationReport:
 def run_suite_all(n_max: int, seed: int,
                   cap: int | None = None) -> VerificationReport:
     """Every lemma check at tiny scale; the repository's acceptance gate."""
-    import itertools
-
-    from .gensets import (fix_prefix_family, fix_prefix_count,
-                          reduced_fix_prefix_family)
-
     rep = VerificationReport("all")
     for t in range(1, n_max + 1):
         for n in range(2 * t + 1, n_max + 1):

@@ -111,7 +111,7 @@ def _compress_potential(family: PermFamily) -> int:
     return sum(sum(p.fixed_points()) for p in family)
 
 
-def _closure(family: PermFamily, pairs, rewrite_for, operation: str,
+def _closure(family: PermFamily, pairs, rewrite, operation: str,
              potential) -> tuple[PermFamily, ClosureTrace]:
     before = potential(family)
     total = 0
@@ -119,7 +119,7 @@ def _closure(family: PermFamily, pairs, rewrite_for, operation: str,
     while True:
         pass_count = 0
         for i, j in pairs:
-            family, count = _apply_family(family, rewrite_for(i, j))
+            family, count = _apply_family(family, lambda s: rewrite(s, i, j))
             pass_count += count
         per_pass.append(pass_count)
         total += pass_count
@@ -138,9 +138,7 @@ def fix_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
     """
     n = family.n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return _closure(family, pairs,
-                    lambda i, j: (lambda s: ij_fix_perm(s, i, j)),
-                    "fix-closure", _fix_potential)
+    return _closure(family, pairs, ij_fix_perm, "fix-closure", _fix_potential)
 
 
 def compress_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
@@ -151,29 +149,30 @@ def compress_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
     """
     n = family.n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return _closure(family, pairs,
-                    lambda i, j: (lambda s: compress_perm(s, i, j)),
-                    "compress-closure", _compress_potential)
+    return _closure(family, pairs, compress_perm, "compress-closure",
+                    _compress_potential)
 
 
 def is_fixed_family(family: PermFamily) -> bool:
-    """Invariant under every ij-fixing family operator."""
-    n = family.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and ij_fix_family(family, i, j) != family:
-                return False
-    return True
+    """Invariant under every ij-fixing family operator.
+
+    The operator for (i, j) changes exactly the members with sigma(i) = j != i
+    whose rewrite is not a member, so each member is checked at its own
+    moved points.
+    """
+    return all(ij_fix_perm(s, i, s(i)) in family
+               for s in family for i in range(1, family.n + 1) if s(i) != i)
 
 
 def is_compressed_family(family: PermFamily) -> bool:
-    """Invariant under every (i,j)-compression family operator."""
-    n = family.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if compress_family(family, i, j) != family:
-                return False
-    return True
+    """Invariant under every (i,j)-compression family operator.
+
+    The operator for i < j changes exactly the members fixing j but not i
+    whose rewrite is not a member.
+    """
+    return all(compress_perm(s, i, j) in family
+               for s in family for j in s.fixed_points()
+               for i in range(1, j) if s(i) != i)
 
 
 def stabilizer_pullback_check(original: PermFamily, transformed: PermFamily,

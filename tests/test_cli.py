@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleint.cli import main
 from cycleint.extremal import stabilizer_family
+from cycleint.gensets import SetSystem
 from cycleint.intersect import PermFamily
+from cycleint.perm import Permutation
 
 
 @pytest.fixture
@@ -235,3 +244,103 @@ def test_resource_errors_exit_2(monkeypatch, capsys, error):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error.__name__}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("perms, code", [
+    (["()", "(11 12)"], 0),                        # the stabilizer of [10]
+    (["(2 3 4 5 6 7 8 9 10 11 12)"], 1),           # fixes only the point 1
+])
+def test_gensets_generating_set_at_degree_12(tmp_path, monkeypatch, perms, code):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 12, "perms": perms}))
+    built = []
+    original = Permutation.__init__
+
+    def bounded_init(self, image):
+        # a walk over S_12 or a coset of it would build millions of rows
+        built.append(None)
+        if len(built) > 50:
+            raise RuntimeError("walked S_12")
+        original(self, image)
+
+    monkeypatch.setattr(Permutation, "__init__", bounded_init)
+    assert main(["gensets", "--family", str(path), "--t", "1",
+                 "--check", "generating-set"]) == code
+
+
+# --- JSON fuzzing ------------------------------------------------------------
+
+@st.composite
+def families(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.permutations(range(1, n + 1)), max_size=6))
+    return PermFamily(n, (Permutation(r) for r in rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(families())
+def test_family_json_round_trip(family):
+    text = json.dumps(family.to_json_dict())
+    assert PermFamily.from_json_dict(json.loads(text)) == family
+    cycles = {"n": family.n, "perms": [p.to_cycle_string() for p in family]}
+    assert PermFamily.from_json_dict(json.loads(json.dumps(cycles))) == family
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.frozensets(st.integers(1, n)), max_size=6))))
+def test_set_system_json_round_trip(case):
+    n, sets = case
+    system = SetSystem(n, sets)
+    text = json.dumps(system.to_json_dict())
+    assert SetSystem.from_json_dict(json.loads(text)) == system
+
+
+_NOT_INTEGERS = [None, "x", "1.5", "", [], [5], {}, {"n": 3}, math.inf, math.nan]
+
+
+@st.composite
+def malformed_families(draw):
+    """A valid family JSON with exactly one fault put in."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4))
+    data = {"n": n, "perms": [list(r) for r in rows]}
+    fault = draw(st.sampled_from(["root", "no-n", "no-perms", "n", "degree",
+                                  "perms", "entry", "repeat", "row"]))
+    row = draw(st.integers(0, len(rows) - 1))
+    if fault == "root":
+        return draw(st.sampled_from([None, 3, "family", [data]]))
+    if fault in ("no-n", "no-perms"):
+        del data[fault[3:]]
+    elif fault == "n":
+        data["n"] = draw(st.sampled_from(_NOT_INTEGERS))
+    elif fault == "degree":
+        data["n"] = draw(st.sampled_from([-1, 0, n + 1]))
+    elif fault == "perms":
+        data["perms"] = draw(st.sampled_from([None, 7, "()", {"()": 1}]))
+    elif fault == "entry":
+        data["perms"][row][draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([0, n + 1, -3, 10**6, None, "a", [1]]))
+    elif fault == "repeat" and n > 1:
+        data["perms"][row][0] = data["perms"][row][1]
+    else:  # a row too long for the degree, also for "repeat" at n = 1
+        data["perms"][row] = data["perms"][row] + [n + 1]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_families())
+def test_malformed_family_json_exits_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "family.json"
+        path.write_text(json.dumps(data))
+        for argv in (["transform", "--in", str(path)],
+                     ["gensets", "--family", str(path), "--t", "1",
+                      "--check", "all"]):
+            out = Path(tmp) / "out.json"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(argv + ["--out", str(out)]) == 2, (argv, data)
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
+            assert not out.exists()

@@ -3,7 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cycleint import report
 from cycleint.gensets import (SetSystem, certify_generating_set,
                               check_pair_overlap_t_plus_one,
                               derive_star_generating_set, disjoint_union_check,
@@ -27,6 +30,45 @@ def stab(points, n):
     pts = set(points)
     return PermFamily(n, (p for p in all_permutations(n)
                           if pts <= set(p.fixed_points())))
+
+
+def reference_up(system):
+    """U(G), the permutations fixing some member, found by walking S_n."""
+    return PermFamily(system.n, (p for p in all_permutations(system.n)
+                                 if any(set(b) <= set(p.fixed_points())
+                                        for b in system)))
+
+
+def reference_is_generating_set(system, family):
+    """The walk is_generating_set replaced."""
+    if system.n != family.n or any(len(s) == system.n - 1 for s in system):
+        return False
+    return reference_up(system) == family
+
+
+def reference_is_disjoint_union(family, system):
+    """The set-based partition check is_disjoint_union replaced."""
+    classes = {}
+    for member in system:
+        if not member:
+            raise ValueError("decomposition pattern must be nonempty")
+        classes[member] = {p for p in all_permutations(family.n)
+                           if tuple(x for x in p.fixed_points()
+                                    if x <= member[-1]) == member}
+    for (e1, c1), (e2, c2) in itertools.combinations(classes.items(), 2):
+        overlap = c1 & c2
+        if overlap:
+            return report.failed({"sets": [list(e1), list(e2)],
+                                  "perm": list(min(overlap).image)},
+                                 "classes overlap")
+    union = set().union(*classes.values())
+    if union != set(family.members):
+        missing = sorted(set(family.members) - union)
+        extra = sorted(union - set(family.members))
+        return report.failed({"missing": [list(p.image) for p in missing[:3]],
+                              "extra": [list(p.image) for p in extra[:3]]},
+                             "union differs from family")
+    return report.passed()
 
 
 def window_family(n, t):
@@ -212,6 +254,8 @@ def test_fix_prefix_size_modes():
     assert fix_prefix_size((1, 3), 5, mode="formula") == 4
     # beyond the enumeration cap only the formula runs
     assert fix_prefix_size((1, 2), 9, mode="auto") == math.factorial(7)
+    with pytest.raises(ValueError, match="mode"):
+        fix_prefix_size((1, 3), 5, mode="bogus")
 
 
 def test_reduced_class_examples():
@@ -279,7 +323,17 @@ def test_is_disjoint_union_failure_carries_witness():
     wrong = SetSystem(5, [(1, 2), (1, 3)])  # classes overlap the family badly
     result = is_disjoint_union(fam, wrong)
     assert result.status == FAIL
-    assert result.witness
+    assert result.witness == {"missing": [],
+                              "extra": [[1, 4, 3, 2, 5], [1, 4, 3, 5, 2],
+                                        [1, 5, 3, 2, 4]]}
+    nested = is_disjoint_union(fam, SetSystem(5, [(1,), (1, 2)]))
+    assert nested.status == FAIL
+    assert nested.detail == "classes overlap"
+    assert nested.witness == {"sets": [[1], [1, 2]], "perm": [1, 2, 3, 4, 5]}
+    short = is_disjoint_union(fam, SetSystem(5, [(1, 2, 3)]))
+    assert short.witness == {"missing": [[1, 2, 4, 3, 5], [1, 2, 4, 5, 3],
+                                         [1, 2, 5, 3, 4]],
+                             "extra": []}
 
 
 def test_pair_overlap_check_vacuous_and_mechanical():
@@ -357,6 +411,12 @@ def test_surgery_case1_instance():
     assert all(rep.candidate_t_intersecting.values())
 
 
+def test_surgery_refuses_degrees_beyond_the_enumeration_cap():
+    g = SetSystem(8, itertools.combinations(range(1, 6), 4))
+    with pytest.raises(ValueError, match="cap"):
+        generating_set_surgery(g, 3, 4)
+
+
 def test_surgery_rejects_empty_size_class():
     g = SetSystem(7, itertools.combinations(range(1, 6), 4))
     with pytest.raises(ValueError):
@@ -371,3 +431,48 @@ def test_certificate_fields():
     assert cert.system.sets == ((1, 2),)
     data = cert.to_json_dict()
     assert data["family_size"] == 6 and data["max_element"] == 2
+
+
+# --- mask deciders against the walks they replaced ----------------------------
+
+@st.composite
+def systems_and_families(draw):
+    """A degree n <= 5, a set system on [n] and a family that is U(G), U(G)
+    less one member, a random family, or a closed family with its own
+    derived systems."""
+    n = draw(st.integers(1, 5))
+    subsets = st.frozensets(st.integers(1, n), max_size=n)
+    system = SetSystem(n, draw(st.lists(subsets, max_size=4)))
+    up = reference_up(system)
+    shape = draw(st.sampled_from(["up", "up-less-one", "random", "closed"]))
+    if shape == "up":
+        family = up
+    elif shape == "up-less-one" and len(up):
+        drop = draw(st.integers(0, len(up) - 1))
+        family = PermFamily(n, up.members[:drop] + up.members[drop + 1:])
+    elif shape == "closed":
+        seed_perm = unrank(n, draw(st.integers(0, math.factorial(n) - 1)))
+        family, _ = compress_closure(
+            fix_closure(maximalize(PermFamily(n, [seed_perm]), 1))[0])
+        system = draw(st.sampled_from([fix_system(family),
+                                       derive_star_generating_set(family)]))
+    else:
+        ranks = draw(st.sets(st.integers(0, math.factorial(n) - 1), max_size=8))
+        family = PermFamily(n, (unrank(n, r) for r in ranks))
+    return system, family
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_and_families())
+def test_mask_deciders_match_the_walks(case):
+    system, family = case
+    assert is_generating_set(system, family) == reference_is_generating_set(system, family)
+    if any(not s for s in system):
+        with pytest.raises(ValueError):
+            is_disjoint_union(family, system)
+        return
+    got = is_disjoint_union(family, system)
+    want = reference_is_disjoint_union(family, system)
+    assert (got.status, got.witness, got.detail) == (want.status, want.witness,
+                                                     want.detail)
+    assert up_permutations_system(system) == reference_up(system)

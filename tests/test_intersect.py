@@ -5,8 +5,9 @@ import random
 import pytest
 
 from cycleint import config
-from cycleint.extremal import f_family
-from cycleint.gensets import fix_prefix_family
+from cycleint.extremal import f_family, stabilizer_family
+from cycleint.gensets import (SetSystem, fix_prefix_family, is_disjoint_union,
+                              is_generating_set, up_permutations_system)
 from cycleint.intersect import (PermFamily,
                                 build_intersection_graph, common_cycles,
                                 is_family_t_cycle_intersecting, is_maximal,
@@ -244,7 +245,13 @@ def test_maximalize_and_is_maximal_match_pair_scan(t):
 def test_s_n_walkers_build_no_validated_permutations(monkeypatch):
     start = PermFamily(5, [identity(5)])
     witnesses = max_family_search(5, 2, mode=ENUMERATE_ALL).witnesses
+    pair = SetSystem(5, [(1, 2)])
+    fam = stab({1, 2}, 5)
     calls = [
+        lambda: stabilizer_family((1, 2), 5),
+        lambda: up_permutations_system(SetSystem(5, [(1, 2), (1, 3)])),
+        lambda: is_generating_set(pair, fam),
+        lambda: is_disjoint_union(fam, pair),
         lambda: build_intersection_graph(5, 2),
         lambda: maximalize(start, 2),
         lambda: is_maximal(stab({1, 2}, 5), 2),

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleint.intersect import (PermFamily, is_family_t_cycle_intersecting,
                                 is_maximal, is_stabilizer_of_points, maximalize)
@@ -242,6 +244,34 @@ def test_is_fixed_and_compressed_examples():
     assert not is_fixed_family(PermFamily(3, [Permutation([2, 1, 3])]))
     # (2,3)-fixing sends [1,3,2] to the identity, which is not a member
     assert not is_fixed_family(PermFamily(3, [Permutation([1, 3, 2])]))
+
+
+@st.composite
+def closure_stages(draw):
+    """A random family at n <= 5, or one part-way through or after the
+    closures, so that both answers occur."""
+    n = draw(st.integers(1, 5))
+    ranks = draw(st.sets(st.integers(0, len(list(all_permutations(n))) - 1),
+                         min_size=1, max_size=10))
+    fam = PermFamily(n, (unrank(n, r) for r in ranks))
+    stage = draw(st.sampled_from(["raw", "fixed", "closed"]))
+    if stage != "raw":
+        fam, _ = fix_closure(fam)
+    if stage == "closed":
+        fam, _ = compress_closure(fam)
+    return fam
+
+
+@settings(max_examples=200, deadline=None)
+@given(closure_stages())
+def test_invariance_checks_match_the_family_operators(fam):
+    n = fam.n
+    assert is_fixed_family(fam) == all(
+        ij_fix_family(fam, i, j) == fam
+        for i, j in itertools.permutations(range(1, n + 1), 2))
+    assert is_compressed_family(fam) == all(
+        compress_family(fam, i, j) == fam
+        for i, j in itertools.combinations(range(1, n + 1), 2))
 
 
 def test_compression_preserves_intersection_for_fixed_families():
