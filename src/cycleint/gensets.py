@@ -55,8 +55,13 @@ class SetSystem:
     def from_json_dict(cls, data: dict) -> "SetSystem":
         if not isinstance(data, dict) or "n" not in data or "sets" not in data:
             raise ValueError('set-system JSON must be an object with "n" and "sets"')
+        n, sets = data["n"], data["sets"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f'"n" must be an integer, got {n!r}')
+        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+            raise ValueError('"sets" must be a list of lists')
         try:
-            return cls(int(data["n"]), data["sets"])
+            return cls(n, sets)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"sets: {exc}") from None
 

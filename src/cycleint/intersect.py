@@ -59,10 +59,9 @@ class PermFamily:
         if (not isinstance(data, dict) or "n" not in data
                 or not isinstance(data.get("perms"), (list, tuple))):
             raise ValueError('family JSON must be an object with "n" and a "perms" list')
-        try:
-            n = int(data["n"])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f'"n" must be an integer, got {data["n"]!r}') from None
+        n = data["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f'"n" must be an integer, got {n!r}')
         return cls.from_images(n, data["perms"])
 
     def to_json_dict(self) -> dict:

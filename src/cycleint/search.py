@@ -4,10 +4,10 @@ The search is exact branch-and-bound maximum clique on the intersection
 graph, with candidates in big-int bitsets. For t = 1 the left cosets of the
 sharply 1-transitive group C_n are checked to be independent in the graph;
 they then bound every clique by their number, and the search branches on the
-coset with the fewest live candidates. Elsewhere branching follows a static
-degeneracy order, and a greedy coloring of each candidate set supplies the
-upper bound. In enumerate-all mode pruning keeps branches that can still tie
-the incumbent, so the returned witness list is complete and duplicate-free.
+coset with the fewest live candidates. Elsewhere vertices are renumbered in a
+degeneracy order, and a greedy coloring of each candidate set, one class at a
+time on bitsets (BBMC), gives the bound. Enumerate-all pruning keeps branches
+that can tie the incumbent: the witness list is complete and duplicate-free.
 
 The naive oracle enumerates every t-cycle-intersecting family by direct
 recursion over lexicographically ordered permutations with no graph, bitsets,
@@ -108,6 +108,20 @@ def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
     return order
 
 
+def _renumber(adj: tuple[int, ...], order: list[int]) -> list[int]:
+    """The rows of ``adj`` with vertex ``order[i]`` renamed ``i``."""
+    position = sorted(range(len(order)), key=order.__getitem__)
+    rows = []
+    for v in order:
+        row, new = adj[v], 0
+        while row:
+            low = row & -row
+            new |= 1 << position[low.bit_length() - 1]
+            row ^= low
+        rows.append(new)
+    return rows
+
+
 def _coset_group(n: int, t: int) -> tuple[str, list[tuple[int, ...]]] | None:
     """Name and generators (image tuples) of a sharply t-transitive group on
     [n], where one is known here: C_n, generated by the n-cycle, for t = 1."""
@@ -182,9 +196,13 @@ class _CliqueSearch:
             self.certificate, classes = found
             self._cover(classes, full)
             return
-        self.scan_order = _degeneracy_order(self.adj)
-        if full:
+        # new vertex i is old vertex order[i], so scan order is bit order
+        order = _degeneracy_order(self.adj)
+        self.adj = _renumber(self.adj, order)
+        try:
             self._branch([], full)
+        finally:  # an expired search still returns its incumbents
+            self.cliques = [tuple(order[v] for v in c) for c in self.cliques]
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -256,30 +274,26 @@ class _CliqueSearch:
                 self._record(chosen)
 
     def _color_sort(self, cand: int) -> tuple[list[int], list[int]]:
-        """Greedy coloring in static order; vertices returned by ascending
-        color class, so suffix positions carry the largest bounds."""
-        class_bits: list[int] = []
-        class_members: list[list[int]] = []
-        for v in self.scan_order:
-            if not (cand >> v) & 1:
-                continue
-            row = self.adj[v]
-            for k in range(len(class_bits)):
-                if not class_bits[k] & row:
-                    class_bits[k] |= 1 << v
-                    class_members[k].append(v)
-                    break
-            else:
-                class_bits.append(1 << v)
-                class_members.append([v])
-        order: list[int] = []
-        colors: list[int] = []
-        # reversed within each class so the suffix-first branching below
-        # visits equal-bound candidates in scan order (lowest rank first)
-        for number, members in enumerate(class_members, start=1):
-            for v in reversed(members):
-                order.append(v)
-                colors.append(number)
+        """Greedy coloring in vertex order, one class at a time: first-fit puts
+        in each class the greedy independent set, in that order, of the
+        vertices not yet colored. Vertices are returned by ascending color
+        class, so suffix positions carry the largest bounds."""
+        order, colors = [], []
+        color = 0
+        while cand:
+            color += 1
+            members, q = [], cand
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                members.append(v)
+                cand ^= low
+                q ^= low
+                q ^= q & self.adj[v]
+            # reversed so the suffix-first branching below visits
+            # equal-bound candidates in vertex order (lowest first)
+            order.extend(reversed(members))
+            colors.extend([color] * len(members))
         return order, colors
 
     def _branch(self, chosen: list[int], cand: int) -> None:

@@ -8,8 +8,8 @@ the left-shift operation on sets.
 
 Family-level variants rewrite a member only when the rewrite is not already
 present in the family *as it was before the sweep step*; this keeps the family
-size constant. Closures sweep all index pairs in lexicographic order until a
-clean pass; traces record the work done so runs are reproducible.
+size constant. Closures sweep the index pairs in lexicographic order, skipping
+the rows i that no member moves, until a clean pass; traces record the work.
 """
 
 from __future__ import annotations
@@ -111,23 +111,21 @@ def _compress_potential(family: PermFamily) -> int:
     return sum(sum(p.fixed_points()) for p in family)
 
 
-def _closure(family: PermFamily, pairs, rewrite, operation: str,
+def _closure(family: PermFamily, partners, rewrite, operation: str,
              potential) -> tuple[PermFamily, ClosureTrace]:
     before = potential(family)
-    total = 0
-    per_pass = []
-    while True:
+    per_pass: list[int] = []
+    while not per_pass or per_pass[-1]:
         pass_count = 0
-        for i, j in pairs:
-            family, count = _apply_family(family, lambda s: rewrite(s, i, j))
-            pass_count += count
+        for i in range(1, family.n + 1):
+            if all(s(i) == i for s in family):
+                continue  # a row-i rewrite changes only members moving i, to fix i
+            for j in partners(i):
+                family, count = _apply_family(family, lambda s: rewrite(s, i, j))
+                pass_count += count
         per_pass.append(pass_count)
-        total += pass_count
-        if pass_count == 0:
-            break
-    trace = ClosureTrace(operation, len(per_pass), total, before,
-                         potential(family), tuple(per_pass))
-    return family, trace
+    return family, ClosureTrace(operation, len(per_pass), sum(per_pass), before,
+                                potential(family), tuple(per_pass))
 
 
 def fix_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
@@ -137,8 +135,8 @@ def fix_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
     count, which is bounded by n * |family|.
     """
     n = family.n
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return _closure(family, pairs, ij_fix_perm, "fix-closure", _fix_potential)
+    return _closure(family, lambda i: (j for j in range(1, n + 1) if j != i),
+                    ij_fix_perm, "fix-closure", _fix_potential)
 
 
 def compress_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
@@ -148,9 +146,8 @@ def compress_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
     fixed-point values.
     """
     n = family.n
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return _closure(family, pairs, compress_perm, "compress-closure",
-                    _compress_potential)
+    return _closure(family, lambda i: range(i + 1, n + 1), compress_perm,
+                    "compress-closure", _compress_potential)
 
 
 def is_fixed_family(family: PermFamily) -> bool:

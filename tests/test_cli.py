@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycleint import transform
 from cycleint.cli import main
 from cycleint.extremal import stabilizer_family
 from cycleint.gensets import SetSystem
@@ -344,3 +345,59 @@ def test_malformed_family_json_exits_2(data):
             assert err.getvalue().startswith("error: ")
             assert "Traceback" not in err.getvalue()
             assert not out.exists()
+
+
+@pytest.mark.parametrize("n,perms", [(2.9, [[2, 1]]), (True, [[1]]), (False, []),
+                                     ("3", [[1, 2, 3]]), (3.0, [[1, 2, 3]])])
+def test_family_json_degree_must_be_an_int(tmp_path, capsys, n, perms):
+    data = {"n": n, "perms": perms}
+    with pytest.raises(ValueError, match='"n" must be an integer'):
+        PermFamily.from_json_dict(data)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert main(["transform", "--in", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 2.9, "sets": [[1]]}, {"n": True, "sets": [[1]]}, {"n": "5", "sets": []},
+    {"n": 5, "sets": "12"}, {"n": 5, "sets": {"1": [2]}}, {"n": 5, "sets": [[1], "2"]},
+    {"n": 5, "sets": [1, 2]}])
+def test_set_system_json_rejects_what_it_used_to_coerce(data):
+    with pytest.raises(ValueError):
+        SetSystem.from_json_dict(json.loads(json.dumps(data)))
+
+
+def test_transform_at_degree_400_sweeps_only_rows_a_member_moves(tmp_path, monkeypatch):
+    n = 400
+
+    def transposition(a, b):
+        image = list(range(1, n + 1))
+        image[a - 1], image[b - 1] = b, a
+        return image
+
+    calls = []
+    apply_family = transform._apply_family
+    monkeypatch.setattr(transform, "_apply_family",
+                        lambda *args: calls.append(args) or apply_family(*args))
+    family, out, trace = (tmp_path / name for name in ("in.json", "out.json", "trace.json"))
+    argv = ["transform", "--in", str(family), "--out", str(out), "--trace", str(trace)]
+    family.write_text(json.dumps({"n": n, "perms": []}))
+    assert main(argv) == 0
+    assert read_json(out) == {"n": n, "perms": []} and not calls
+    family.write_text(json.dumps({"n": n, "perms": [transposition(1, 2),
+                                                    transposition(399, 400)]}))
+    assert main(argv) == 0
+    assert read_json(out) == {"n": n, "perms": [list(range(1, n + 1)),
+                                                transposition(399, 400)]}
+    assert read_json(trace) == {"steps": [
+        {"step": "fix-closure", "passes": 2, "applications": 1,
+         "potential_before": 796, "potential_after": 798, "pass_applications": [1, 0]},
+        {"step": "compress-closure", "passes": 1, "applications": 0,
+         "potential_before": 159601, "potential_after": 159601,
+         "pass_applications": [0]}]}
+    # rows 1, 399 and 400, then 399 and 400, when fixing; row 399 when compressing;
+    # a sweep of every pair would take 2 n(n-1) + n(n-1)/2 operator applications
+    assert len(calls) == 5 * (n - 1) + 1

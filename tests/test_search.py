@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+import random
 
 import pytest
 
@@ -346,3 +347,79 @@ def test_seven_one_is_proven():
     assert rep.passed
     assert all(r.status == PASS for r in rep.records)
     assert rep.stats["search"]["certificate"]["classes"] == 720
+
+
+def _scan_color_sort(adj, scan_order, cand):
+    """First-fit coloring that scans every vertex in the static order and
+    tests its candidate bit: the reference for the class-at-a-time coloring
+    on the renumbered graph."""
+    class_bits = []
+    class_members = []
+    for v in scan_order:
+        if not (cand >> v) & 1:
+            continue
+        for k in range(len(class_bits)):
+            if not class_bits[k] & adj[v]:
+                class_bits[k] |= 1 << v
+                class_members[k].append(v)
+                break
+        else:
+            class_bits.append(1 << v)
+            class_members.append([v])
+    order, colors = [], []
+    for number, members in enumerate(class_members, start=1):
+        order.extend(reversed(members))
+        colors.extend([number] * len(members))
+    return order, colors
+
+
+def test_renumbered_coloring_matches_scan_order_reference():
+    rng = random.Random(10)
+    for n in range(1, 7):
+        for t in range(1, n + 1):
+            graph = build_intersection_graph(n, t)
+            order = search._degeneracy_order(graph.adj)
+            position = {v: i for i, v in enumerate(order)}
+            clique_search = search._CliqueSearch(graph, True, None)
+            clique_search.adj = search._renumber(graph.adj, order)
+            if n <= 4:
+                assert all(((clique_search.adj[i] >> j) & 1)
+                           == ((graph.adj[order[i]] >> order[j]) & 1)
+                           for i in range(graph.size) for j in range(graph.size))
+            full = (1 << graph.size) - 1
+            for cand in [full] + [rng.getrandbits(graph.size) for _ in range(10)]:
+                renamed = sum(1 << position[v] for v in range(graph.size) if (cand >> v) & 1)
+                new_order, colors = clique_search._color_sort(renamed)
+                assert ([order[v] for v in new_order], colors) == \
+                    _scan_color_sort(graph.adj, order, cand), (n, t, cand)
+
+
+@pytest.mark.parametrize("n,t,cap,nodes,cutoffs,witnesses", [
+    (6, 2, None, 675, 660, 15), (7, 3, 7, 2741, 2706, 35)])
+def test_coloring_search_counts_are_pinned(n, t, cap, nodes, cutoffs, witnesses):
+    result = max_family_search(n, t, mode=ENUMERATE_ALL, cap=cap)
+    assert result.complete and result.certificate is None
+    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (nodes, cutoffs, witnesses)
+    assert result.max_size == math.factorial(n - t)
+    assert set(result.witnesses) == {stabilizer_family(points, n, cap=n)
+                                     for points in itertools.combinations(range(1, n + 1), t)}
+
+
+@pytest.mark.parametrize("n,t,cap", [(6, 2, None), (7, 3, 7)])
+@pytest.mark.parametrize("k", [30, 100, 400])
+def test_expired_coloring_search_returns_witnesses_in_rank_numbering(monkeypatch, n, t,
+                                                                     cap, k):
+    # the search works on renumbered vertices; a budget expiry leaves it by an
+    # exception, and its incumbents must still come back as the graph's ranks
+    def tick(self):
+        self.nodes += 1
+        if self.nodes >= k:
+            raise search.BudgetExceeded
+
+    monkeypatch.setattr(search._CliqueSearch, "_tick", tick)
+    result = max_family_search(n, t, mode=ENUMERATE_ALL, cap=cap)
+    assert result.complete is False and result.nodes == k
+    assert result.max_size > 1 and result.witnesses
+    for family in result.witnesses:
+        assert len(family) == result.max_size
+        assert is_family_t_cycle_intersecting(family, t)
