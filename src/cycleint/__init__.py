@@ -8,7 +8,7 @@ from .gensets import (GeneratingSetCertificate, SetSystem, SurgeryReport,
                       TopPartition, certify_generating_set,
                       check_pair_overlap_t_plus_one, derive_star_generating_set,
                       disjoint_union_check, fix_prefix_count, fix_prefix_family,
-                      fix_prefix_size, fix_system, generating_set_surgery,
+                      fix_system, generating_set_surgery,
                       is_disjoint_union, is_generating_set, is_left_compressed,
                       is_t_intersecting_system, left_shift_minimals,
                       left_shift_set, left_shift_system, max_element,

@@ -16,33 +16,29 @@ ENUMERATION_CAP_ENV = "CYCLEINT_ENUMERATION_CAP"
 SEARCH_CAP_ENV = "CYCLEINT_SEARCH_CAP"
 
 
-def _cap_from_env(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def _cap(override: int | None, what: str, env: str, default: int) -> int:
+    """The override if given, else the environment variable, else the default."""
+    if override is not None:
+        if override < 1:
+            raise ValueError(f"{what} cap must be positive")
+        return override
+    raw = os.environ.get(env)
     if raw is None:
         return default
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
     if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise ValueError(f"{env} must be positive, got {value}")
     return value
 
 
 def enumeration_cap(override: int | None = None) -> int:
     """Largest degree for which S_n may be fully materialized."""
-    if override is not None:
-        if override < 1:
-            raise ValueError("enumeration cap must be positive")
-        return override
-    return _cap_from_env(ENUMERATION_CAP_ENV, DEFAULT_ENUMERATION_CAP)
+    return _cap(override, "enumeration", ENUMERATION_CAP_ENV, DEFAULT_ENUMERATION_CAP)
 
 
 def search_cap(override: int | None = None) -> int:
     """Largest degree admitted to clique search without a time budget."""
-    if override is not None:
-        if override < 1:
-            raise ValueError("search cap must be positive")
-        return override
-    return _cap_from_env(SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)
-
+    return _cap(override, "search", SEARCH_CAP_ENV, DEFAULT_SEARCH_CAP)

@@ -16,23 +16,23 @@ from dataclasses import dataclass
 from . import config
 from .gensets import _pattern_count, up_permutations
 from .intersect import PermFamily, _fixed_point_family
+from .perm import parse_points, point_mask
 
 
 def stabilizer_family(points, n: int, cap: int | None = None) -> PermFamily:
-    """All permutations fixing every listed point; size (n - t)!."""
-    pts = [int(x) for x in points]
-    if len(set(pts)) != len(pts):
+    """All permutations fixing every listed point; size (n - t)!. The points
+    are checked with :func:`perm.parse_points` and must be distinct."""
+    points = tuple(points)
+    if len(parse_points(points, n)) != len(points):
         raise ValueError("stabilized points must be distinct")
-    if len(pts) > n:
-        raise ValueError("more points than the degree allows")
-    return up_permutations(pts, n, cap)
+    return up_permutations(points, n, cap)
 
 
 def f_family(n: int, t: int, i: int, cap: int | None = None) -> PermFamily:
     """Permutations fixing at least t+i of the first t+2i points (i = 0 gives
     the stabilizer of [t])."""
     _check_f_params(n, t, i)
-    window = (1 << (t + 2 * i)) - 1
+    window = point_mask(range(1, t + 2 * i + 1))
     return _fixed_point_family(
         n, lambda mask: (mask & window).bit_count() >= t + i, cap)
 

@@ -19,10 +19,10 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import config, report
+from . import report
 from .intersect import (PermFamily, _fixed_point_family, _sn_table,
                         is_family_t_cycle_intersecting, is_maximal)
-from .perm import Permutation, rank
+from .perm import parse_points, point_mask, rank
 from .report import CheckResult
 from .transform import is_compressed_family, is_fixed_family
 
@@ -30,8 +30,9 @@ from .transform import is_compressed_family, is_fixed_family
 class SetSystem:
     """Distinct subsets of [n], each stored sorted, ordered lexicographically.
 
-    Each member also carries a bitmask mirror, which is what the subset and
-    intersection scans operate on.
+    Each member is checked with :func:`perm.parse_points` and also carries
+    its :func:`perm.point_mask`, which is what the subset and intersection
+    scans operate on.
     """
 
     __slots__ = ("n", "sets", "masks", "_mask_set")
@@ -39,16 +40,9 @@ class SetSystem:
     def __init__(self, n: int, sets: Iterable[Iterable[int]] = ()):
         if n < 1:
             raise ValueError("ground-set size must be at least 1")
-        normalized = set()
-        for s in sets:
-            member = tuple(sorted(set(int(x) for x in s)))
-            for x in member:
-                if not 1 <= x <= n:
-                    raise ValueError(f"element {x} out of range [1, {n}]")
-            normalized.add(member)
         self.n = n
-        self.sets = tuple(sorted(normalized))
-        self.masks = tuple(sum(1 << (x - 1) for x in s) for s in self.sets)
+        self.sets = tuple(sorted({parse_points(s, n) for s in sets}))
+        self.masks = tuple(map(point_mask, self.sets))
         self._mask_set = frozenset(self.masks)
 
     @classmethod
@@ -62,7 +56,7 @@ class SetSystem:
             raise ValueError('"sets" must be a list of lists')
         try:
             return cls(n, sets)
-        except (ValueError, TypeError, OverflowError) as exc:
+        except ValueError as exc:
             raise ValueError(f"sets: {exc}") from None
 
     def to_json_dict(self) -> dict:
@@ -75,13 +69,10 @@ class SetSystem:
         return iter(self.sets)
 
     def __contains__(self, member: Iterable[int]) -> bool:
-        mask = 0
-        for x in set(member):
-            x = int(x)
-            if not 1 <= x <= self.n:
-                return False
-            mask |= 1 << (x - 1)
-        return mask in self._mask_set
+        try:
+            return point_mask(parse_points(member, self.n)) in self._mask_set
+        except ValueError:  # a non-point is in no member
+            return False
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SetSystem)
@@ -106,12 +97,9 @@ class SetSystem:
 
 def up_permutations(points: Iterable[int], n: int,
                     cap: int | None = None) -> PermFamily:
-    """All degree-n permutations fixing every listed point; size (n - |B|)!."""
-    want = 0
-    for x in sorted(set(int(x) for x in points)):
-        if not 1 <= x <= n:
-            raise ValueError(f"point {x} out of range [1, {n}]")
-        want |= 1 << (x - 1)
+    """All degree-n permutations fixing every listed point; size (n - |B|)!.
+    The points are checked with :func:`perm.parse_points`."""
+    want = point_mask(parse_points(points, n))
     return _fixed_point_family(n, lambda mask: mask & want == want, cap)
 
 
@@ -123,10 +111,6 @@ def up_permutations_system(system: SetSystem,
         system.n, lambda mask: any(mask & b == b for b in masks), cap)
 
 
-def _fixed_mask(perm: Permutation) -> int:
-    return sum(1 << (x - 1) for x in perm.fixed_points())
-
-
 def is_generating_set(system: SetSystem, family: PermFamily) -> bool:
     """No member of cardinality n-1, and the up-permutations union to the family.
 
@@ -136,7 +120,7 @@ def is_generating_set(system: SetSystem, family: PermFamily) -> bool:
     n = system.n
     if n != family.n or any(len(s) == n - 1 for s in system):
         return False
-    fixed = [_fixed_mask(p) for p in family]
+    fixed = [p.fixed_mask() for p in family]
     return (all(any(m & b == b for b in system.masks) for m in fixed)
             and all(sum(m & b == b for m in fixed) == math.factorial(n - b.bit_count())
                     for b in system.masks))
@@ -149,11 +133,9 @@ def fix_system(family: PermFamily) -> SetSystem:
 
 def left_shift_set(points: Iterable[int], n: int) -> SetSystem:
     """All same-size sets obtainable by componentwise decreasing the sorted
-    elements; always includes the input set itself."""
-    member = sorted(set(int(x) for x in points))
-    for x in member:
-        if not 1 <= x <= n:
-            raise ValueError(f"element {x} out of range [1, {n}]")
+    elements; always includes the input set itself. The points are checked
+    with :func:`perm.parse_points`."""
+    member = parse_points(points, n)
     shifts: list[tuple[int, ...]] = []
 
     def extend(idx: int, prev: int, chosen: list[int]) -> None:
@@ -282,12 +264,10 @@ def fix_prefix_count(n: int, size: int, top: int) -> int:
 
 def _prefix_masks(points: Iterable[int], n: int) -> tuple[int, int]:
     """The window [1..max(points)] and the pattern, as fixed-point masks."""
-    member = tuple(sorted(set(int(x) for x in points)))
+    member = parse_points(points, n)
     if not member:
         raise ValueError("pattern must be nonempty")
-    if not 1 <= member[-1] <= n:
-        raise ValueError(f"pattern not contained in [1, {n}]")
-    return (1 << member[-1]) - 1, sum(1 << (x - 1) for x in member)
+    return point_mask(range(1, member[-1] + 1)), point_mask(member)
 
 
 def fix_prefix_family(points: Iterable[int], n: int,
@@ -295,27 +275,6 @@ def fix_prefix_family(points: Iterable[int], n: int,
     """Permutations whose fixed points within [1..max(points)] equal the set."""
     prefix, wanted = _prefix_masks(points, n)
     return _fixed_point_family(n, lambda mask: mask & prefix == wanted, cap)
-
-
-def fix_prefix_size(points: Iterable[int], n: int, mode: str = "auto",
-                    cap: int | None = None) -> int:
-    """|fix_prefix_family| by enumeration, formula, or both ("check" mode)."""
-    if mode not in ("auto", "formula", "check"):
-        raise ValueError(f"unknown mode {mode!r}; choose auto, formula or check")
-    member = tuple(sorted(set(int(x) for x in points)))
-    if not member:
-        raise ValueError("pattern must be nonempty")
-    by_formula = fix_prefix_count(n, len(member), member[-1])
-    if mode == "formula":
-        return by_formula
-    if mode == "auto" and n > config.enumeration_cap(cap):
-        return by_formula
-    by_enum = len(fix_prefix_family(member, n, cap))
-    if mode == "check" and by_enum != by_formula:
-        raise AssertionError(
-            f"count mismatch for pattern {member}, n={n}: "
-            f"enumerated {by_enum}, formula {by_formula}")
-    return by_enum
 
 
 def reduced_fix_prefix_family(points: Iterable[int], n: int,
@@ -337,10 +296,8 @@ def reduced_fix_prefix_family(points: Iterable[int], n: int,
 
 def reduced_fix_prefix_size(points: Iterable[int], n: int) -> int:
     """Formula-mode size of the reduced class (pattern minus top, window - 1)."""
-    member = tuple(sorted(set(int(x) for x in points)))
-    if not member:
-        raise ValueError("pattern must be nonempty")
-    return _pattern_count(n, len(member) - 1, member[-1] - 1)
+    prefix, wanted = _prefix_masks(points, n)
+    return _pattern_count(n, wanted.bit_count() - 1, prefix.bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +336,8 @@ def is_disjoint_union(family: PermFamily, system: SetSystem,
     union = sum(classes)  # the classes are pairwise disjoint by now
     # the family lies in the union when every member matches a pattern, and
     # then equals it when the sizes agree
-    missing = [list(p.image) for p, m in zip(family, map(_fixed_mask, family))
-               if not any(m & prefix == wanted for prefix, wanted in patterns)]
+    missing = [list(p.image) for p in family
+               if not any(p.fixed_mask() & prefix == wanted for prefix, wanted in patterns)]
     if missing or union.bit_count() != len(family):
         extra = union & ~sum(1 << rank(p) for p in family)
         witness = {"missing": missing[:3], "extra": images(extra, 3)}

@@ -194,8 +194,7 @@ class _SnTable:
 
     def __init__(self, n: int):
         self.perms = tuple(all_permutations(n))
-        self.fixed = tuple(sum(1 << x for x, y in enumerate(p.image) if y == x + 1)
-                           for p in self.perms)
+        self.fixed = tuple(p.fixed_mask() for p in self.perms)
         interned: dict[tuple[int, ...], int] = {}
         self.cycle_ids = tuple(
             tuple(interned.setdefault(c, len(interned))

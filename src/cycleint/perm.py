@@ -29,11 +29,12 @@ class Permutation:
     __slots__ = ("image", "_cycles", "_cycle_set")
 
     def __init__(self, image: Sequence[int]):
-        image = tuple(int(x) for x in image)
+        """Validate the images with :func:`parse_points`: n distinct points of [n]."""
+        image = tuple(image)
         n = len(image)
         if n == 0:
             raise ValueError("degree must be at least 1")
-        if sorted(image) != list(range(1, n + 1)):
+        if len(parse_points(image, n)) != n:
             raise ValueError(f"not a permutation of [{n}]: {image!r}")
         self.image = image
         self._cycles: tuple[tuple[int, ...], ...] | None = None
@@ -100,6 +101,10 @@ class Permutation:
         """Sorted tuple of the points x with sigma(x) = x."""
         return tuple(x for x in range(1, len(self.image) + 1) if self.image[x - 1] == x)
 
+    def fixed_mask(self) -> int:
+        """The fixed points as a :func:`point_mask`."""
+        return point_mask(self.fixed_points())
+
     def cycle_type(self) -> tuple[int, ...]:
         """Sorted multiset of cycle lengths."""
         return tuple(sorted(len(c) for c in self.cycles()))
@@ -132,6 +137,31 @@ class Permutation:
         return f"Permutation({list(self.image)})"
 
 
+def parse_points(values: Iterable[int], n: int) -> tuple[int, ...]:
+    """The distinct points among ``values``, sorted; each value must be an
+    ``int`` (a ``bool`` is not) in [1, n]. The one check of a caller's points.
+
+    >>> parse_points([3, 1, 3], 4)
+    (1, 3)
+    """
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"point {x!r} is not an integer")
+        if not 1 <= x <= n:
+            raise ValueError(f"point {x} out of range [1, {n}]")
+    return tuple(sorted(set(values)))
+
+
+def point_mask(points: Iterable[int]) -> int:
+    """The bitmask of a point set, bit x-1 for point x.
+
+    >>> bin(point_mask((1, 3)))
+    '0b101'
+    """
+    return sum(1 << (x - 1) for x in points)
+
+
 def identity(n: int) -> Permutation:
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -154,6 +184,8 @@ def conjugate(sigma: Permutation, g: Permutation) -> Permutation:
 def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
     """Build a permutation of [n] from disjoint cycles; omitted points are fixed.
 
+    Each cycle's entries are checked with :func:`parse_points`.
+
     >>> from_cycles(5, [(1, 2, 3), (4, 5)]).image
     (2, 3, 1, 5, 4)
     """
@@ -162,10 +194,9 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
     image = list(range(1, n + 1))
     used = set()
     for cycle in cycles:
-        cycle = [int(x) for x in cycle]
+        cycle = list(cycle)
+        parse_points(cycle, n)
         for x in cycle:
-            if not 1 <= x <= n:
-                raise ValueError(f"cycle entry {x} out of range [1, {n}]")
             if x in used:
                 raise ValueError(f"point {x} appears in more than one cycle")
             used.add(x)

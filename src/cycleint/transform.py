@@ -8,8 +8,9 @@ the left-shift operation on sets.
 
 Family-level variants rewrite a member only when the rewrite is not already
 present in the family *as it was before the sweep step*; this keeps the family
-size constant. Closures sweep the index pairs in lexicographic order, skipping
-the rows i that no member moves, until a clean pass; traces record the work.
+size constant. Closures sweep the index pairs in lexicographic order until a
+clean pass, visiting only the pairs whose partner j some member offers in
+row i; traces record the work.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intersect import PermFamily, is_stabilizer_of_points
-from .perm import Permutation
+from .perm import Permutation, parse_points
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,26 @@ class ClosureTrace:
     pass_applications: tuple[int, ...] = ()
 
 
-def _check_points(n: int, i: int, j: int) -> None:
-    if i == j:
+def _check_points(n: int, i: int, j: int, ordered: bool = False) -> None:
+    if len(parse_points((i, j), n)) != 2:
         raise ValueError("points must be distinct")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"points ({i}, {j}) out of range [1, {n}]")
+    if ordered and i > j:
+        raise ValueError(f"compression needs i < j, got ({i}, {j})")
 
 
 def ij_fix_perm(sigma: Permutation, i: int, j: int) -> Permutation:
     """Fix i in sigma when sigma(i) = j, rerouting sigma^-1(i) to j."""
     _check_points(sigma.n, i, j)
+    return _ij_fix(sigma, i, j)
+
+
+def compress_perm(sigma: Permutation, i: int, j: int) -> Permutation:
+    """Move the fixed point j down to i when sigma fixes j but not i (i < j)."""
+    _check_points(sigma.n, i, j, ordered=True)
+    return _compress(sigma, i, j)
+
+
+def _ij_fix(sigma: Permutation, i: int, j: int) -> Permutation:  # points checked
     if sigma(i) != j:
         return sigma
     image = list(sigma.image)
@@ -58,11 +69,7 @@ def ij_fix_perm(sigma: Permutation, i: int, j: int) -> Permutation:
     return Permutation(image)
 
 
-def compress_perm(sigma: Permutation, i: int, j: int) -> Permutation:
-    """Move the fixed point j down to i when sigma fixes j but not i (i < j)."""
-    if i >= j:
-        raise ValueError(f"compression needs i < j, got ({i}, {j})")
-    _check_points(sigma.n, i, j)
+def _compress(sigma: Permutation, i: int, j: int) -> Permutation:  # points checked
     if sigma(i) == i or sigma(j) != j:
         return sigma
     image = list(sigma.image)
@@ -93,14 +100,12 @@ def _apply_family(family: PermFamily, rewrite) -> tuple[PermFamily, int]:
 
 def ij_fix_family(family: PermFamily, i: int, j: int) -> PermFamily:
     _check_points(family.n, i, j)
-    return _apply_family(family, lambda s: ij_fix_perm(s, i, j))[0]
+    return _apply_family(family, lambda s: _ij_fix(s, i, j))[0]
 
 
 def compress_family(family: PermFamily, i: int, j: int) -> PermFamily:
-    if i >= j:
-        raise ValueError(f"compression needs i < j, got ({i}, {j})")
-    _check_points(family.n, i, j)
-    return _apply_family(family, lambda s: compress_perm(s, i, j))[0]
+    _check_points(family.n, i, j, ordered=True)
+    return _apply_family(family, lambda s: _compress(s, i, j))[0]
 
 
 def _fix_potential(family: PermFamily) -> int:
@@ -111,18 +116,29 @@ def _compress_potential(family: PermFamily) -> int:
     return sum(sum(p.fixed_points()) for p in family)
 
 
-def _closure(family: PermFamily, partners, rewrite, operation: str,
+def _closure(family: PermFamily, offers, rewrite, operation: str,
              potential) -> tuple[PermFamily, ClosureTrace]:
+    """Rows i = 1..n, and in a row the partners j in ascending order. Only a
+    member that moves i and offers j is rewritten at (i, j), into one that
+    fixes i; so a pair is visited only while a member that offered it at the
+    row's start is still in the family (``here``): any other rewrites nothing."""
     before = potential(family)
     per_pass: list[int] = []
     while not per_pass or per_pass[-1]:
         pass_count = 0
         for i in range(1, family.n + 1):
-            if all(s(i) == i for s in family):
-                continue  # a row-i rewrite changes only members moving i, to fix i
-            for j in partners(i):
-                family, count = _apply_family(family, lambda s: rewrite(s, i, j))
-                pass_count += count
+            movers = [s for s in family if s(i) != i]
+            here = [True] * len(movers)
+            offering: dict[int, list[int]] = {}
+            for m, s in enumerate(movers):
+                for j in offers(s, i):
+                    offering.setdefault(j, []).append(m)
+            for j in sorted(offering):
+                if any(here[m] for m in offering[j]):
+                    family, count = _apply_family(family, lambda s: rewrite(s, i, j))
+                    pass_count += count
+                    for m in offering[j]:
+                        here[m] = here[m] and movers[m] in family
         per_pass.append(pass_count)
     return family, ClosureTrace(operation, len(per_pass), sum(per_pass), before,
                                 potential(family), tuple(per_pass))
@@ -134,9 +150,8 @@ def fix_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
     Terminates because each rewrite strictly increases the total fixed-point
     count, which is bounded by n * |family|.
     """
-    n = family.n
-    return _closure(family, lambda i: (j for j in range(1, n + 1) if j != i),
-                    ij_fix_perm, "fix-closure", _fix_potential)
+    return _closure(family, lambda s, i: (s(i),), _ij_fix, "fix-closure",
+                    _fix_potential)
 
 
 def compress_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
@@ -145,9 +160,8 @@ def compress_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
     Terminates because each rewrite strictly decreases the positive sum of
     fixed-point values.
     """
-    n = family.n
-    return _closure(family, lambda i: range(i + 1, n + 1), compress_perm,
-                    "compress-closure", _compress_potential)
+    return _closure(family, lambda s, i: (j for j in s.fixed_points() if j > i),
+                    _compress, "compress-closure", _compress_potential)
 
 
 def is_fixed_family(family: PermFamily) -> bool:
@@ -157,7 +171,7 @@ def is_fixed_family(family: PermFamily) -> bool:
     whose rewrite is not a member, so each member is checked at its own
     moved points.
     """
-    return all(ij_fix_perm(s, i, s(i)) in family
+    return all(_ij_fix(s, i, s(i)) in family
                for s in family for i in range(1, family.n + 1) if s(i) != i)
 
 
@@ -167,7 +181,7 @@ def is_compressed_family(family: PermFamily) -> bool:
     The operator for i < j changes exactly the members fixing j but not i
     whose rewrite is not a member.
     """
-    return all(compress_perm(s, i, j) in family
+    return all(_compress(s, i, j) in family
                for s in family for j in s.fixed_points()
                for i in range(1, j) if s(i) != i)
 

@@ -321,7 +321,7 @@ def malformed_families(draw):
         data["perms"] = draw(st.sampled_from([None, 7, "()", {"()": 1}]))
     elif fault == "entry":
         data["perms"][row][draw(st.integers(0, n - 1))] = draw(
-            st.sampled_from([0, n + 1, -3, 10**6, None, "a", [1]]))
+            st.sampled_from([0, n + 1, -3, 10**6, None, "a", [1], 2.9, 2.0, True, "2"]))
     elif fault == "repeat" and n > 1:
         data["perms"][row][0] = data["perms"][row][1]
     else:  # a row too long for the degree, also for "repeat" at n = 1
@@ -361,10 +361,26 @@ def test_family_json_degree_must_be_an_int(tmp_path, capsys, n, perms):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", [[2.9, 1], ["2", True]])
+def test_family_json_entries_must_be_ints(tmp_path, capsys, row):
+    data = {"n": 2, "perms": [row]}
+    with pytest.raises(ValueError, match="not an integer"):
+        PermFamily.from_json_dict(data)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    for argv in (["transform", "--in", str(path)],
+                 ["gensets", "--family", str(path), "--t", "1", "--check", "all"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("data", [
     {"n": 2.9, "sets": [[1]]}, {"n": True, "sets": [[1]]}, {"n": "5", "sets": []},
     {"n": 5, "sets": "12"}, {"n": 5, "sets": {"1": [2]}}, {"n": 5, "sets": [[1], "2"]},
-    {"n": 5, "sets": [1, 2]}])
+    {"n": 5, "sets": [1, 2]}, {"n": 3, "sets": [[1.5, True], ["3"]]}])
 def test_set_system_json_rejects_what_it_used_to_coerce(data):
     with pytest.raises(ValueError):
         SetSystem.from_json_dict(json.loads(json.dumps(data)))
@@ -398,6 +414,22 @@ def test_transform_at_degree_400_sweeps_only_rows_a_member_moves(tmp_path, monke
         {"step": "compress-closure", "passes": 1, "applications": 0,
          "potential_before": 159601, "potential_after": 159601,
          "pass_applications": [0]}]}
-    # rows 1, 399 and 400, then 399 and 400, when fixing; row 399 when compressing;
-    # a sweep of every pair would take 2 n(n-1) + n(n-1)/2 operator applications
-    assert len(calls) == 5 * (n - 1) + 1
+    # (1, 2), (399, 400) and (400, 399), then the last two again, when fixing;
+    # nothing is offered when compressing. A sweep of every pair would take
+    # 2 n(n-1) + n(n-1)/2 operator applications.
+    assert len(calls) == 5
+    calls.clear()
+    family.write_text(json.dumps({"n": n, "perms": [transposition(1, 2),
+                                                    transposition(3, 4)]}))
+    assert main(argv) == 0
+    assert read_json(out) == {"n": n, "perms": [list(range(1, n + 1)),
+                                                transposition(399, 400)]}
+    assert read_json(trace) == {"steps": [
+        {"step": "fix-closure", "passes": 2, "applications": 1,
+         "potential_before": 796, "potential_after": 798, "pass_applications": [1, 0]},
+        {"step": "compress-closure", "passes": 2, "applications": 396,
+         "potential_before": 160393, "potential_after": 159601,
+         "pass_applications": [396, 0]}]}
+    # fixing as above; compressing carries (3 4) down one row at a time, at
+    # (i, i + 2) for rows 3 to 398, and the second pass finds nothing offered
+    assert len(calls) == 5 + 396

@@ -10,8 +10,7 @@ from cycleint import report
 from cycleint.gensets import (SetSystem, certify_generating_set,
                               check_pair_overlap_t_plus_one,
                               derive_star_generating_set, disjoint_union_check,
-                              fix_prefix_count, fix_prefix_family,
-                              fix_prefix_size, fix_system,
+                              fix_prefix_count, fix_prefix_family, fix_system,
                               generating_set_surgery, is_disjoint_union,
                               is_generating_set, is_left_compressed,
                               is_t_intersecting_system, left_shift_minimals,
@@ -247,15 +246,6 @@ def test_fix_prefix_count_matches_enumeration(n):
         for pattern in itertools.combinations(range(1, n + 1), r):
             assert (len(fix_prefix_family(pattern, n))
                     == fix_prefix_count(n, r, max(pattern)))
-
-
-def test_fix_prefix_size_modes():
-    assert fix_prefix_size((1, 3), 5, mode="check") == 4
-    assert fix_prefix_size((1, 3), 5, mode="formula") == 4
-    # beyond the enumeration cap only the formula runs
-    assert fix_prefix_size((1, 2), 9, mode="auto") == math.factorial(7)
-    with pytest.raises(ValueError, match="mode"):
-        fix_prefix_size((1, 3), 5, mode="bogus")
 
 
 def test_reduced_class_examples():

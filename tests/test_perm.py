@@ -1,7 +1,10 @@
 import pytest
 
+from cycleint.extremal import stabilizer_family
+from cycleint.gensets import SetSystem, up_permutations
 from cycleint.perm import (Permutation, all_permutations, compose, conjugate,
-                           from_cycles, identity, parse_cycles, rank, unrank)
+                           from_cycles, identity, parse_cycles, parse_points,
+                           point_mask, rank, unrank)
 
 
 def test_identity_examples():
@@ -21,6 +24,28 @@ def test_identity_rejects_degree_zero():
 def test_invalid_images_rejected(bad):
     with pytest.raises(ValueError):
         Permutation(bad)
+
+
+def test_parse_points_and_point_mask():
+    assert parse_points([3, 1, 3], 3) == (1, 3)
+    assert parse_points(iter(()), 1) == ()
+    assert point_mask((1, 3)) == 0b101 and point_mask(()) == 0
+    assert identity(3).fixed_mask() == 0b111
+    assert Permutation([2, 1, 3, 5, 4]).fixed_mask() == 0b100
+    for bad in ([0], [4], [2.0], [2.9], [True], [False], ["2"], [None], [[1]]):
+        with pytest.raises(ValueError):
+            parse_points(bad, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Permutation([2.0, 1]),
+    lambda: from_cycles(3, [(1.0, 2)]),
+    lambda: SetSystem(3, [[True]]),
+    lambda: stabilizer_family((1.0,), 3),
+    lambda: up_permutations(("1",), 3)])
+def test_direct_calls_reject_non_int_points(call):
+    with pytest.raises(ValueError, match="not an integer"):
+        call()
 
 
 def test_compose_examples():

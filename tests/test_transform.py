@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from cycleint.intersect import (PermFamily, is_family_t_cycle_intersecting,
                                 is_maximal, is_stabilizer_of_points, maximalize)
 from cycleint.perm import Permutation, all_permutations, identity, unrank
-from cycleint.transform import (compress_closure, compress_family,
-                                compress_perm, fix_closure, ij_fix_family,
-                                ij_fix_perm, is_compressed_family,
+from cycleint.transform import (ClosureTrace, _apply_family, compress_closure,
+                                compress_family, compress_perm, fix_closure,
+                                ij_fix_family, ij_fix_perm, is_compressed_family,
                                 is_fixed_family, stabilizer_pullback_check)
 
 
@@ -272,6 +272,43 @@ def test_invariance_checks_match_the_family_operators(fam):
     assert is_compressed_family(fam) == all(
         compress_family(fam, i, j) == fam
         for i, j in itertools.combinations(range(1, n + 1), 2))
+
+
+def grid_closure(family, pairs, rewrite, operation, potential):
+    """Reference closure: apply the operator at every pair of the grid, in
+    lexicographic order, until a clean pass."""
+    before = potential(family)
+    per_pass = []
+    while not per_pass or per_pass[-1]:
+        count = 0
+        for i, j in pairs(range(1, family.n + 1), 2):
+            family, applied = _apply_family(family, lambda s: rewrite(s, i, j))
+            count += applied
+        per_pass.append(count)
+    return family, ClosureTrace(operation, len(per_pass), sum(per_pass), before,
+                                potential(family), tuple(per_pass))
+
+
+@st.composite
+def closure_inputs(draw):
+    """A random family at n <= 6, or a maximal one around a random member."""
+    n = draw(st.integers(1, 6))
+    ranks = st.integers(0, len(list(all_permutations(n))) - 1)
+    if draw(st.booleans()):
+        return PermFamily(n, (unrank(n, r) for r in draw(st.sets(ranks, max_size=12))))
+    return maximalize(PermFamily(n, [unrank(n, draw(ranks))]), draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_inputs())
+def test_closures_match_the_pair_grid(fam):
+    fixed = fix_closure(fam)
+    assert fixed == grid_closure(fam, itertools.permutations, ij_fix_perm, "fix-closure",
+                                 lambda f: sum(len(p.fixed_points()) for p in f))
+    for start in (fam, fixed[0]):
+        assert compress_closure(start) == grid_closure(
+            start, itertools.combinations, compress_perm, "compress-closure",
+            lambda f: sum(sum(p.fixed_points()) for p in f))
 
 
 def test_compression_preserves_intersection_for_fixed_families():
