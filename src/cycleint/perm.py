@@ -54,14 +54,14 @@ class Permutation:
         return len(self.image)
 
     def __call__(self, x: int) -> int:
-        if not 1 <= x <= len(self.image):
-            raise ValueError(f"point {x} out of range [1, {len(self.image)}]")
+        """sigma(x), for a point x checked with :func:`parse_points`."""
+        (x,) = parse_points((x,), len(self.image))
         return self.image[x - 1]
 
     def preimage(self, y: int) -> int:
-        """The point x with sigma(x) = y."""
-        if not 1 <= y <= len(self.image):
-            raise ValueError(f"value {y} out of range [1, {len(self.image)}]")
+        """The point x with sigma(x) = y, for a point y checked with
+        :func:`parse_points`."""
+        (y,) = parse_points((y,), len(self.image))
         return self.image.index(y) + 1
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:

@@ -1,13 +1,15 @@
 """Exhaustive maximum-family search and the verification harnesses.
 
 The search is exact branch-and-bound maximum clique on the intersection
-graph, with candidates in big-int bitsets. For t = 1 the left cosets of the
-sharply 1-transitive group C_n are checked to be independent in the graph;
-they then bound every clique by their number, and the search branches on the
-coset with the fewest live candidates. Elsewhere vertices are renumbered in a
-degeneracy order, and a greedy coloring of each candidate set, one class at a
-time on bitsets (BBMC), gives the bound. Enumerate-all pruning keeps branches
-that can tie the incumbent: the witness list is complete and duplicate-free.
+graph, with candidates in big-int bitsets: one depth-first loop over an
+explicit stack, with the bound chosen at the root. For t = 1 the left cosets
+of the sharply 1-transitive group C_n are checked to be independent in the
+graph; they then bound every clique by their number, and each node branches
+on the coset with the fewest live candidates. Elsewhere vertices are
+renumbered in a degeneracy order, and a greedy coloring of each candidate
+set, one class at a time on bitsets (BBMC), gives the bound. Enumerate-all
+pruning keeps branches that can tie the incumbent: the witness list is
+complete and duplicate-free.
 
 The naive oracle enumerates every t-cycle-intersecting family by direct
 recursion over lexicographically ordered permutations with no graph, bitsets,
@@ -17,6 +19,7 @@ pair predicate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -169,10 +172,10 @@ def _coset_classes(graph: IntersectionGraph):
 
 
 class _CliqueSearch:
-    """Exact maximum clique search with one of two strategies, chosen at the
-    root: the coset search where ``_coset_classes`` certifies a colouring,
-    else branch-and-bound over a static degeneracy order with a greedy
-    colouring bound per node."""
+    """Exact maximum clique search: one depth-first loop over an explicit
+    stack, with the bound chosen at the root: ``_coset_node`` where
+    ``_coset_classes`` certifies a colouring, else ``_color_node`` over the
+    vertices renumbered in degeneracy order."""
 
     def __init__(self, graph: IntersectionGraph, enumerate_all: bool,
                  deadline: float | None):
@@ -194,13 +197,13 @@ class _CliqueSearch:
         found = _coset_classes(self.graph)
         if found is not None:
             self.certificate, classes = found
-            self._cover(classes, full)
+            self._search(self._coset_node(classes, range(len(classes)), full, 0))
             return
         # new vertex i is old vertex order[i], so scan order is bit order
         order = _degeneracy_order(self.adj)
         self.adj = _renumber(self.adj, order)
         try:
-            self._branch([], full)
+            self._search(self._color_node(full, 0))
         finally:  # an expired search still returns its incumbents
             self.cliques = [tuple(order[v] for v in c) for c in self.cliques]
 
@@ -224,54 +227,60 @@ class _CliqueSearch:
         elif size == self.best and self.enumerate_all:
             self.cliques.append(tuple(clique))
 
-    def _cover(self, classes: list[tuple[int, list[int]]], full: int) -> None:
-        """Search over independent classes that cover the vertices.
-
-        A clique meets each class at most once, so a node's bound is the
-        clique so far plus the number of classes with a live candidate. A
-        node branches on the live class with the fewest candidates (lowest
-        index on ties), as in Knuth's Algorithm X: each candidate in rank
-        order, then one branch that skips the class, so the search stays
-        exact when omega is below the class count. An explicit stack holds
-        the open nodes, as the depth reaches the clique size.
-        """
-        adj = self.adj
+    def _search(self, root) -> None:
+        """An open node is its clique size and an iterator over its branches
+        ``(bound, v, cand, child)``: v joins the clique unless it is -1, then a
+        nonempty ``cand`` opens ``child(cand, size)`` and an empty one records.
+        Nodes yield by non-increasing bound, so the first cut closes a node."""
         chosen: list[int] = []
-        # per open node: its candidates, clique size and bound, the branching
-        # class's mask, the other live classes, and an iterator over the
-        # branches still to take (a member to include, or -1 to skip)
-        stack: list[tuple] = []
-
-        def open_node(cand: int, live: list[int]) -> None:
-            counts = [((cand & classes[k][0]).bit_count(), k) for k in live]
-            counts = [ck for ck in counts if ck[0]]
-            bound = len(chosen) + len(counts)
-            if self._cut(bound):
-                return
-            k = min(counts)[1]
-            mask, members = classes[k]
-            branches = iter([v for v in members if (cand >> v) & 1] + [-1])
-            stack.append((cand, len(chosen), bound, mask,
-                          [j for _, j in counts if j != k], branches))
-
-        open_node(full, list(range(len(classes))))
+        stack = [(0, root)]
         while stack:
-            cand, size, bound, mask, rest, branches = stack[-1]
+            size, branches = stack[-1]
             del chosen[size:]
-            v = next(branches, None)
-            if v is None or self._cut(bound - (v < 0)):
+            branch = next(branches, None)
+            if branch is None or self._cut(branch[0]):
                 stack.pop()
                 continue
-            if v < 0:
-                cand &= ~mask
-            else:
+            _, v, cand, child = branch
+            if v >= 0:
                 chosen.append(v)
-                cand &= adj[v]
             if cand:
                 self._tick()
-                open_node(cand, rest)
+                stack.append((len(chosen), child(cand, len(chosen))))
             else:
                 self._record(chosen)
+
+    def _coset_node(self, classes: list[tuple[int, list[int]]], live, cand: int,
+                    size: int):
+        """A clique meets each covering class at most once, so the bound is
+        the clique so far plus the live classes with a candidate. Branch on the
+        one with the fewest (lowest index on ties), as in Knuth's Algorithm X:
+        each candidate in rank order, then a skip branch, so the search stays
+        exact when omega is below the class count."""
+        counts = [((cand & classes[k][0]).bit_count(), k) for k in live]
+        counts = [ck for ck in counts if ck[0]]
+        bound = size + len(counts)
+        if self._cut(bound):
+            return
+        k = min(counts)[1]
+        mask, members = classes[k]
+        child = functools.partial(self._coset_node, classes,
+                                  [j for _, j in counts if j != k])
+        del counts  # the node stays open on the stack; keep it small
+        for v in members:
+            if (cand >> v) & 1:
+                yield bound, v, cand & self.adj[v], child
+        yield bound - 1, -1, cand & ~mask, child
+
+    def _color_node(self, cand: int, size: int):
+        """Branches on the vertices of ``_color_sort(cand)`` from the last
+        colour class back, each bounded by the clique so far plus its colour;
+        a vertex leaves the candidates once its branch is done."""
+        order, colors = self._color_sort(cand)
+        for idx in range(len(order) - 1, -1, -1):
+            v = order[idx]
+            yield size + colors[idx], v, cand & self.adj[v], self._color_node
+            cand &= ~(1 << v)
 
     def _color_sort(self, cand: int) -> tuple[list[int], list[int]]:
         """Greedy coloring in vertex order, one class at a time: first-fit puts
@@ -290,28 +299,11 @@ class _CliqueSearch:
                 cand ^= low
                 q ^= low
                 q ^= q & self.adj[v]
-            # reversed so the suffix-first branching below visits
-            # equal-bound candidates in vertex order (lowest first)
+            # reversed so the suffix-first branching visits equal-bound
+            # candidates in vertex order (lowest first)
             order.extend(reversed(members))
             colors.extend([color] * len(members))
         return order, colors
-
-    def _branch(self, chosen: list[int], cand: int) -> None:
-        order, colors = self._color_sort(cand)
-        for idx in range(len(order) - 1, -1, -1):
-            bound = len(chosen) + colors[idx]
-            if self._cut(bound):
-                return
-            v = order[idx]
-            newcand = cand & self.adj[v]
-            chosen.append(v)
-            if newcand:
-                self._tick()
-                self._branch(chosen, newcand)
-            else:
-                self._record(chosen)
-            chosen.pop()
-            cand &= ~(1 << v)
 
 
 def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
@@ -326,6 +318,8 @@ def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
     """
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValueError(f"unknown mode {mode!r}")
+    if time_budget is not None and not 0 <= time_budget < math.inf:
+        raise ValueError(f"time budget must be finite and >= 0, got {time_budget!r}")
     limit = config.search_cap(cap)
     if n > limit + 1:
         raise ValueError(f"degree {n} exceeds search cap {limit}")

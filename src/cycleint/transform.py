@@ -60,22 +60,22 @@ def compress_perm(sigma: Permutation, i: int, j: int) -> Permutation:
 
 
 def _ij_fix(sigma: Permutation, i: int, j: int) -> Permutation:  # points checked
-    if sigma(i) != j:
+    if sigma.image[i - 1] != j:
         return sigma
     image = list(sigma.image)
-    pre_i = sigma.preimage(i)
+    pre_i = image.index(i) + 1
     image[i - 1] = i
     image[pre_i - 1] = j
     return Permutation(image)
 
 
 def _compress(sigma: Permutation, i: int, j: int) -> Permutation:  # points checked
-    if sigma(i) == i or sigma(j) != j:
+    if sigma.image[i - 1] == i or sigma.image[j - 1] != j:
         return sigma
     image = list(sigma.image)
-    pre_i = sigma.preimage(i)
+    pre_i = image.index(i) + 1
     image[i - 1] = i
-    image[j - 1] = sigma(i)
+    image[j - 1] = sigma.image[i - 1]
     image[pre_i - 1] = j
     return Permutation(image)
 
@@ -121,24 +121,23 @@ def _closure(family: PermFamily, offers, rewrite, operation: str,
     """Rows i = 1..n, and in a row the partners j in ascending order. Only a
     member that moves i and offers j is rewritten at (i, j), into one that
     fixes i; so a pair is visited only while a member that offered it at the
-    row's start is still in the family (``here``): any other rewrites nothing."""
+    row's start is still in the family, and any other rewrites nothing. Such
+    a member leaves only by a rewrite, which fixes i, so it never comes back
+    within the row."""
     before = potential(family)
     per_pass: list[int] = []
     while not per_pass or per_pass[-1]:
         pass_count = 0
         for i in range(1, family.n + 1):
-            movers = [s for s in family if s(i) != i]
-            here = [True] * len(movers)
-            offering: dict[int, list[int]] = {}
-            for m, s in enumerate(movers):
-                for j in offers(s, i):
-                    offering.setdefault(j, []).append(m)
+            offering: dict[int, list[Permutation]] = {}
+            for s in family:
+                if s.image[i - 1] != i:
+                    for j in offers(s, i):
+                        offering.setdefault(j, []).append(s)
             for j in sorted(offering):
-                if any(here[m] for m in offering[j]):
+                if any(s in family for s in offering[j]):
                     family, count = _apply_family(family, lambda s: rewrite(s, i, j))
                     pass_count += count
-                    for m in offering[j]:
-                        here[m] = here[m] and movers[m] in family
         per_pass.append(pass_count)
     return family, ClosureTrace(operation, len(per_pass), sum(per_pass), before,
                                 potential(family), tuple(per_pass))
@@ -150,7 +149,7 @@ def fix_closure(family: PermFamily) -> tuple[PermFamily, ClosureTrace]:
     Terminates because each rewrite strictly increases the total fixed-point
     count, which is bounded by n * |family|.
     """
-    return _closure(family, lambda s, i: (s(i),), _ij_fix, "fix-closure",
+    return _closure(family, lambda s, i: (s.image[i - 1],), _ij_fix, "fix-closure",
                     _fix_potential)
 
 
@@ -171,8 +170,8 @@ def is_fixed_family(family: PermFamily) -> bool:
     whose rewrite is not a member, so each member is checked at its own
     moved points.
     """
-    return all(_ij_fix(s, i, s(i)) in family
-               for s in family for i in range(1, family.n + 1) if s(i) != i)
+    return all(_ij_fix(s, i, s.image[i - 1]) in family
+               for s in family for i in range(1, family.n + 1) if s.image[i - 1] != i)
 
 
 def is_compressed_family(family: PermFamily) -> bool:
@@ -183,7 +182,7 @@ def is_compressed_family(family: PermFamily) -> bool:
     """
     return all(_compress(s, i, j) in family
                for s in family for j in s.fixed_points()
-               for i in range(1, j) if s(i) != i)
+               for i in range(1, j) if s.image[i - 1] != i)
 
 
 def stabilizer_pullback_check(original: PermFamily, transformed: PermFamily,

@@ -233,6 +233,14 @@ def test_verify_suite_all(tmp_path):
     assert len(payload["records"]) >= 40
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+def test_search_budget_must_be_finite_and_not_negative(capsys, budget):
+    assert main(["search", "--n", "5", "--t", "1", "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not captured.out
+
+
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])
 def test_resource_errors_exit_2(monkeypatch, capsys, error):
     from cycleint import search

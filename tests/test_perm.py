@@ -42,7 +42,13 @@ def test_parse_points_and_point_mask():
     lambda: from_cycles(3, [(1.0, 2)]),
     lambda: SetSystem(3, [[True]]),
     lambda: stabilizer_family((1.0,), 3),
-    lambda: up_permutations(("1",), 3)])
+    lambda: up_permutations(("1",), 3),
+    lambda: Permutation([2, 1, 3])(True),
+    lambda: Permutation([2, 1, 3])(1.0),
+    lambda: Permutation([2, 1, 3])("1"),
+    lambda: Permutation([2, 1, 3]).preimage(True),
+    lambda: Permutation([2, 1, 3]).preimage(1.0),
+    lambda: Permutation([2, 1, 3]).preimage("1")])
 def test_direct_calls_reject_non_int_points(call):
     with pytest.raises(ValueError, match="not an integer"):
         call()

@@ -1,7 +1,9 @@
 import heapq
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -423,3 +425,40 @@ def test_expired_coloring_search_returns_witnesses_in_rank_numbering(monkeypatch
     for family in result.witnesses:
         assert len(family) == result.max_size
         assert is_family_t_cycle_intersecting(family, t)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # t = 0 makes the graph complete, so the one maximum clique is all of
+    # S_n and the search goes n! levels deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 80)
+    try:
+        five = max_family_search(5, 0, mode=ENUMERATE_ALL)
+        six = max_family_search(6, 0, mode=ENUMERATE_ALL)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert five.complete and [len(w) for w in five.witnesses] == [120]
+    assert six.complete and [len(w) for w in six.witnesses] == [720]
+
+
+@pytest.mark.parametrize("mode,nodes,cutoffs,witnesses", [
+    (search.SIZE_ONLY, 120, 120, 1), (ENUMERATE_ALL, 661, 661, 6)])
+def test_coset_search_counts_are_pinned(mode, nodes, cutoffs, witnesses):
+    result = max_family_search(6, 1, mode=mode)
+    assert result.complete and result.certificate["group"] == "C_6"
+    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (nodes, cutoffs, witnesses)
+    assert result.max_size == 120
+
+
+@pytest.mark.parametrize("n,t,k,counts", [(7, 2, 400, (401, 373, 120, 3)),
+                                          (7, 1, 3000, (3001, 2724, 720, 4))])
+def test_counts_at_a_forced_expiry_are_pinned(monkeypatch, n, t, k, counts):
+    def tick(self):
+        self.nodes += 1
+        if self.nodes > k:
+            raise search.BudgetExceeded
+
+    monkeypatch.setattr(search._CliqueSearch, "_tick", tick)
+    result = max_family_search(n, t, mode=ENUMERATE_ALL, cap=7)
+    assert not result.complete
+    assert (result.nodes, result.cutoffs, result.max_size, len(result.witnesses)) == counts
