@@ -22,26 +22,23 @@ from .report import VerificationReport
 from .transform import compress_closure, fix_closure
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: invalid JSON at line {exc.lineno}, "
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from None
 
 
 def _load_family(path: str) -> PermFamily:
+    data = _load_json(path)
     try:
-        return PermFamily.from_json_dict(_load_json(path))
+        return PermFamily.from_json_dict(data)
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -53,7 +50,7 @@ def _write_json(path: str | None, payload: dict) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _print_report(rep: VerificationReport) -> None:
@@ -65,7 +62,7 @@ def _cmd_transform(args) -> int:
     family = _load_family(args.infile)
     steps = [s.strip() for s in args.pipeline.split(",") if s.strip()]
     if not steps:
-        raise UsageError("empty --pipeline")
+        raise ValueError("empty --pipeline")
     traces = []
     for step in steps:
         if step == "fix-closure":
@@ -76,10 +73,10 @@ def _cmd_transform(args) -> int:
             traces.append(trace)
         elif step == "maximalize":
             if args.t is None:
-                raise UsageError("maximalize step requires --t")
-            family = maximalize(family, args.t, args.enumeration_cap)
+                raise ValueError("maximalize step requires --t")
+            family = maximalize(family, args.t)
         else:
-            raise UsageError(f"unknown pipeline step {step!r}")
+            raise ValueError(f"unknown pipeline step {step!r}")
     _write_json(args.out, family.to_json_dict())
     if args.trace:
         _write_json(args.trace, {"steps": [
@@ -98,7 +95,7 @@ _GENSET_CHECKS = ("generating-set", "t-intersecting", "pair-overlap", "disjoint-
 def _cmd_gensets(args) -> int:
     family = _load_family(args.family)
     if not len(family):
-        raise UsageError("cannot derive a generating set for the empty family")
+        raise ValueError("cannot derive a generating set for the empty family")
     cert = certify_generating_set(family)
     payload: dict = {}
     if args.derive:
@@ -108,11 +105,11 @@ def _cmd_gensets(args) -> int:
         [c.strip() for c in args.check.split(",") if c.strip()] if args.check else []
     for name in wanted:
         if name not in _GENSET_CHECKS:
-            raise UsageError(f"unknown check {name!r}; choose from {_GENSET_CHECKS}")
+            raise ValueError(f"unknown check {name!r}; choose from {_GENSET_CHECKS}")
     rep = VerificationReport("gensets")
     params = {"n": family.n, "t": args.t, "family_size": len(family)}
     if wanted and args.t is None:
-        raise UsageError("--check requires --t")
+        raise ValueError("--check requires --t")
     for name in wanted:
         if name == "generating-set":
             rep.add_bool(name, params, is_generating_set(cert.system, family))
@@ -125,8 +122,7 @@ def _cmd_gensets(args) -> int:
                            check_pair_overlap_t_plus_one(cert.system, args.t))
         elif name == "disjoint-union":
             rep.add_result(name, params,
-                           disjoint_union_check(family, cert.system, args.t,
-                                                args.enumeration_cap))
+                           disjoint_union_check(family, cert.system, args.t))
     if wanted:
         payload["report"] = rep.to_json_dict()
         _print_report(rep)
@@ -150,14 +146,14 @@ def _cmd_extremal(args) -> int:
               f"{'all hold' if not failures else f'{len(failures)} failures'}")
         return 0 if not failures else 1
     if args.n is None or args.t is None:
-        raise UsageError("extremal comparison requires --n and --t")
+        raise ValueError("extremal comparison requires --n and --t")
     i_values = []
     for name in (args.families or "F0,F1").split(","):
         name = name.strip()
         if not name.upper().startswith("F") or not name[1:].isdigit():
-            raise UsageError(f"unknown family name {name!r}; use F0, F1, F2, ...")
+            raise ValueError(f"unknown family name {name!r}; use F0, F1, F2, ...")
         i_values.append(int(name[1:]))
-    comparison = compare_extremal(args.n, args.t, i_values, args.enumeration_cap)
+    comparison = compare_extremal(args.n, args.t, i_values)
     _write_json(args.out, comparison.to_json_dict())
     sizes = " ".join(f"|{k}|={v}" for k, v in comparison.sizes.items())
     print(f"(n={args.n}, t={args.t}): {sizes}; " + "; ".join(comparison.verdicts))
@@ -167,8 +163,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_search(args) -> int:
     mode = search.ENUMERATE_ALL if args.enumerate_all else search.SIZE_ONLY
     result = search.max_family_search(args.n, args.t, mode=mode,
-                                      time_budget=args.budget,
-                                      cap=args.search_cap)
+                                      time_budget=args.budget)
     payload = result.to_json_dict()
     if args.canonical_witnesses:
         reps = search.conjugacy_representatives(result.witnesses, args.n)
@@ -183,7 +178,7 @@ def _cmd_search(args) -> int:
                 for line in graph.dimacs_lines():
                     handle.write(line + "\n")
         except OSError as exc:
-            raise UsageError(f"cannot write {args.export_graph}: {exc}") from None
+            raise ValueError(f"cannot write {args.export_graph}: {exc}") from None
     flag = "" if result.complete else " (PARTIAL: budget expired)"
     print(f"(n={args.n}, t={args.t}) max family size {result.max_size}, "
           f"{len(result.witnesses)} witness(es){flag}")
@@ -193,28 +188,20 @@ def _cmd_search(args) -> int:
 def _cmd_verify(args) -> int:
     needs_seed = args.suite in ("pipeline", "all")
     if needs_seed and args.seed is None:
-        raise UsageError(f"--suite {args.suite} is randomized; --seed is required")
+        raise ValueError(f"--suite {args.suite} is randomized; --seed is required")
+    needs_n_t = args.suite in ("theorem14", "counterexample", "pipeline")
+    if needs_n_t and (args.n is None or args.t is None):
+        raise ValueError(f"--suite {args.suite} requires --n and --t")
     if args.suite == "theorem14":
-        if args.n is None or args.t is None:
-            raise UsageError("--suite theorem14 requires --n and --t")
-        rep = search.verify_max_bound(args.n, args.t, time_budget=args.budget,
-                                      cap=args.search_cap)
+        rep = search.verify_max_bound(args.n, args.t, time_budget=args.budget)
     elif args.suite == "counterexample":
-        if args.n is None or args.t is None:
-            raise UsageError("--suite counterexample requires --n and --t")
-        try:
-            rep = search.verify_counterexample_regime(args.n, args.t)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        rep = search.verify_counterexample_regime(args.n, args.t)
     elif args.suite == "pipeline":
-        if args.n is None or args.t is None:
-            raise UsageError("--suite pipeline requires --n and --t")
-        rep = search.pipeline_roundtrip(args.n, args.t, args.trials, args.seed,
-                                        args.enumeration_cap)
+        rep = search.pipeline_roundtrip(args.n, args.t, args.trials, args.seed)
     elif args.suite == "surgery":
-        rep = search.verify_surgery_instances(args.enumeration_cap)
+        rep = search.verify_surgery_instances()
     else:  # all
-        rep = search.run_suite_all(args.n_max, args.seed, args.enumeration_cap)
+        rep = search.run_suite_all(args.n_max, args.seed)
     if args.out:
         _write_json(args.out, rep.to_json_dict())
     _print_report(rep)
@@ -235,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None, help="needed by maximalize")
     p.add_argument("--trace", default=None, metavar="TRACE_JSON")
     p.add_argument("--out", default=None, metavar="OUT_JSON")
-    p.add_argument("--enumeration-cap", type=int, default=None)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("gensets", help="derive and check generating sets")
@@ -247,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help='"all" or comma-separated subset of '
                         + ",".join(_GENSET_CHECKS))
     p.add_argument("--out", default=None, metavar="OUT_JSON")
-    p.add_argument("--enumeration-cap", type=int, default=None)
     p.set_defaults(func=_cmd_gensets)
 
     p = sub.add_parser("extremal", help="construct and compare extremal families")
@@ -260,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-span", type=int, default=40,
                    help="quad mode: check n in [2t+1, 2t+span]")
     p.add_argument("--out", default=None, metavar="OUT_JSON")
-    p.add_argument("--enumeration-cap", type=int, default=None)
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("search", help="exact maximum family search")
@@ -275,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-graph", default=None, metavar="EDGE_LIST",
                    help="write the intersection graph as a DIMACS-like edge list")
     p.add_argument("--out", default=None, metavar="OUT_JSON")
-    p.add_argument("--search-cap", type=int, default=None)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -290,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=5, help="for --suite all")
     p.add_argument("--budget", type=float, default=None)
     p.add_argument("--out", default=None, metavar="REPORT_JSON")
-    p.add_argument("--enumeration-cap", type=int, default=None)
-    p.add_argument("--search-cap", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -306,9 +287,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

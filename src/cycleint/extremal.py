@@ -78,17 +78,16 @@ class ExtremalComparison:
                 "cross_checked": self.cross_checked}
 
 
-def compare_extremal(n: int, t: int, i_values=(0, 1),
-                     cap: int | None = None) -> ExtremalComparison:
+def compare_extremal(n: int, t: int, i_values=(0, 1)) -> ExtremalComparison:
     """Sizes of F_i for the requested i, enumerated within the cap and counted
     exactly either way; the two modes must agree wherever both run."""
-    limit = config.enumeration_cap(cap)
+    limit = config.enumeration_cap()
     sizes: dict[str, int] = {}
     cross_checked = n <= limit
     for i in sorted(set(int(v) for v in i_values)):
         counted = f_family_size(n, t, i)
         if n <= limit:
-            enumerated = len(f_family(n, t, i, cap))
+            enumerated = len(f_family(n, t, i))
             if enumerated != counted:
                 raise AssertionError(
                     f"F_{i} size mismatch at (n={n}, t={t}): "

@@ -103,12 +103,11 @@ def up_permutations(points: Iterable[int], n: int,
     return _fixed_point_family(n, lambda mask: mask & want == want, cap)
 
 
-def up_permutations_system(system: SetSystem,
-                           cap: int | None = None) -> PermFamily:
+def up_permutations_system(system: SetSystem) -> PermFamily:
     """Union of the up-permutation sets of all members."""
     masks = system.masks
     return _fixed_point_family(
-        system.n, lambda mask: any(mask & b == b for b in masks), cap)
+        system.n, lambda mask: any(mask & b == b for b in masks))
 
 
 def is_generating_set(system: SetSystem, family: PermFamily) -> bool:
@@ -270,15 +269,13 @@ def _prefix_masks(points: Iterable[int], n: int) -> tuple[int, int]:
     return point_mask(range(1, member[-1] + 1)), point_mask(member)
 
 
-def fix_prefix_family(points: Iterable[int], n: int,
-                      cap: int | None = None) -> PermFamily:
+def fix_prefix_family(points: Iterable[int], n: int) -> PermFamily:
     """Permutations whose fixed points within [1..max(points)] equal the set."""
     prefix, wanted = _prefix_masks(points, n)
-    return _fixed_point_family(n, lambda mask: mask & prefix == wanted, cap)
+    return _fixed_point_family(n, lambda mask: mask & prefix == wanted)
 
 
-def reduced_fix_prefix_family(points: Iterable[int], n: int,
-                              cap: int | None = None) -> PermFamily:
+def reduced_fix_prefix_family(points: Iterable[int], n: int) -> PermFamily:
     """Drop the largest pattern element and shrink the window by one.
 
     The result always contains the original prefix-fix class, plus for every
@@ -291,7 +288,7 @@ def reduced_fix_prefix_family(points: Iterable[int], n: int,
     """
     prefix, wanted = _prefix_masks(points, n)
     prefix >>= 1
-    return _fixed_point_family(n, lambda mask: mask & prefix == wanted & prefix, cap)
+    return _fixed_point_family(n, lambda mask: mask & prefix == wanted & prefix)
 
 
 def reduced_fix_prefix_size(points: Iterable[int], n: int) -> int:
@@ -310,8 +307,7 @@ def is_t_intersecting_system(system: SetSystem, t: int) -> bool:
                for a, b in itertools.combinations(system.masks, 2))
 
 
-def is_disjoint_union(family: PermFamily, system: SetSystem,
-                      cap: int | None = None) -> CheckResult:
+def is_disjoint_union(family: PermFamily, system: SetSystem) -> CheckResult:
     """Do the prefix-fix classes of the members partition the family?
 
     Each class is a bitset over the rows of the S_n table. Rows are in rank
@@ -322,12 +318,12 @@ def is_disjoint_union(family: PermFamily, system: SetSystem,
     if any(not member for member in system):
         raise ValueError("decomposition pattern must be nonempty")
     patterns = [_prefix_masks(member, n) for member in system]
-    classes = [sum(1 << r for r, mask in enumerate(_sn_table(n, cap).fixed)
+    classes = [sum(1 << r for r, mask in enumerate(_sn_table(n).fixed)
                    if mask & prefix == wanted) for prefix, wanted in patterns]
 
     def images(rows: int, count: int) -> list[list[int]]:
         bits = [r for r in range(rows.bit_length()) if rows >> r & 1][:count]
-        return [list(_sn_table(n, cap).perms[r].image) for r in bits]
+        return [list(_sn_table(n).perms[r].image) for r in bits]
 
     for (e1, c1), (e2, c2) in itertools.combinations(zip(system, classes), 2):
         if c1 & c2:
@@ -346,8 +342,7 @@ def is_disjoint_union(family: PermFamily, system: SetSystem,
 
 
 def disjoint_union_check(family: PermFamily, system: SetSystem | None = None,
-                         t: int | None = None,
-                         cap: int | None = None) -> CheckResult:
+                         t: int | None = None) -> CheckResult:
     """Hypothesis-gated partition check.
 
     Validates what it can before asserting the conclusion: the system (derived
@@ -374,9 +369,9 @@ def disjoint_union_check(family: PermFamily, system: SetSystem | None = None,
     if t is not None:
         if not is_family_t_cycle_intersecting(family, t):
             return report.hypothesis_not_met(detail=f"family is not {t}-cycle-intersecting")
-        if not is_maximal(family, t, cap):
+        if not is_maximal(family, t):
             return report.hypothesis_not_met(detail="family is not maximal")
-    return is_disjoint_union(family, system, cap)
+    return is_disjoint_union(family, system)
 
 
 def check_pair_overlap_t_plus_one(system: SetSystem, t: int) -> CheckResult:
@@ -471,28 +466,13 @@ class SurgeryReport:
     survivors: SetSystem | None = None
     pigeonhole_ok: bool | None = None
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "case": self.case, "n": self.n, "t": self.t, "delta": self.delta,
-            "size_class": self.size_class, "base_size": self.base_size,
-            "candidates": {k: v.to_json_dict() for k, v in self.candidates.items()},
-            "candidate_t_intersecting": self.candidate_t_intersecting,
-            "candidate_sizes": self.candidate_sizes,
-            "best_size": self.best_size, "strict_gain": self.strict_gain,
-        }
-        if self.case == 2:
-            d["pivot"] = self.pivot
-            d["survivors"] = self.survivors.to_json_dict() if self.survivors else None
-            d["pigeonhole_ok"] = self.pigeonhole_ok
-        return d
-
 
 def _drop_top(system: SetSystem, top: int) -> SetSystem:
     return SetSystem(system.n, (tuple(x for x in s if x != top) for s in system))
 
 
-def generating_set_surgery(system: SetSystem, t: int, size_class: int,
-                           cap: int | None = None) -> SurgeryReport:
+def generating_set_surgery(system: SetSystem, t: int,
+                           size_class: int) -> SurgeryReport:
     """Rebuild the system around one size class of its top partition and
     report whether the up-permutation family strictly grows."""
     partition = partition_by_max_element(system, t)
@@ -502,7 +482,7 @@ def generating_set_surgery(system: SetSystem, t: int, size_class: int,
     if i not in partition.size_classes:
         raise ValueError(f"size class {i} is empty")
     r_i = partition.size_classes[i]
-    base_size = len(up_permutations_system(system, cap))
+    base_size = len(up_permutations_system(system))
     partner = 2 * t + delta - i
 
     if i != partner:
@@ -511,7 +491,7 @@ def generating_set_surgery(system: SetSystem, t: int, size_class: int,
         f1 = trimmed.union(_drop_top(r_i, s_plus))
         f2 = trimmed.union(_drop_top(r_partner, s_plus))
         candidates = {"f1": f1, "f2": f2}
-        sizes = {k: len(up_permutations_system(v, cap)) for k, v in candidates.items()}
+        sizes = {k: len(up_permutations_system(v)) for k, v in candidates.items()}
         best = max(sizes.values())
         return SurgeryReport(
             case=1, n=system.n, t=t, delta=delta, size_class=i,
@@ -532,7 +512,7 @@ def generating_set_surgery(system: SetSystem, t: int, size_class: int,
     # Pigeonhole guarantee: |T'| >= |R_i| * (delta/2) / (t + delta - 1).
     pigeon_ok = len(survivors) >= Fraction(len(r_i) * delta, 2 * (s_plus - 1))
     f_prime = system.difference(r_i).union(survivors)
-    size = len(up_permutations_system(f_prime, cap))
+    size = len(up_permutations_system(f_prime))
     return SurgeryReport(
         case=2, n=system.n, t=t, delta=delta, size_class=i,
         base_size=base_size, candidates={"f_prime": f_prime},

@@ -247,19 +247,19 @@ def build_intersection_graph(n: int, t: int,
     return IntersectionGraph(n, t, table.perms, adj)
 
 
-def is_maximal(family: PermFamily, t: int, cap: int | None = None) -> bool:
+def is_maximal(family: PermFamily, t: int) -> bool:
     """No outside permutation t-cycle-intersects every member."""
-    return len(maximalize(family, t, cap)) == len(family)
+    return len(maximalize(family, t)) == len(family)
 
 
-def maximalize(family: PermFamily, t: int, cap: int | None = None) -> PermFamily:
+def maximalize(family: PermFamily, t: int) -> PermFamily:
     """Extend to a maximal family, adding candidates in lexicographic order.
 
     Taking the lowest-ranked compatible permutation each time is a single
     lexicographic pass: the kept family only grows, so a permutation passed
     over stays incompatible.
     """
-    table = _sn_table(family.n, cap)
+    table = _sn_table(family.n)
     neighbours = _neighbourhoods(table, t)
     ranks = [rank(p) for p in family]
     family_mask = sum(1 << r for r in ranks)

@@ -306,6 +306,11 @@ class _CliqueSearch:
         return order, colors
 
 
+def _check_budget(time_budget: float | None) -> None:
+    if time_budget is not None and not 0 <= time_budget < math.inf:
+        raise ValueError(f"time budget must be finite and >= 0, got {time_budget!r}")
+
+
 def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
                       time_budget: float | None = None,
                       cap: int | None = None,
@@ -318,8 +323,7 @@ def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
     """
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValueError(f"unknown mode {mode!r}")
-    if time_budget is not None and not 0 <= time_budget < math.inf:
-        raise ValueError(f"time budget must be finite and >= 0, got {time_budget!r}")
+    _check_budget(time_budget)
     limit = config.search_cap(cap)
     if n > limit + 1:
         raise ValueError(f"degree {n} exceeds search cap {limit}")
@@ -392,6 +396,7 @@ def verify_max_bound(n: int, t: int, time_budget: float | None = None,
                      cap: int | None = None) -> VerificationReport:
     """For n >= 2t+1: the maximum family size is (n-t)! and the maximum
     families are exactly the stabilizers of t points."""
+    _check_budget(time_budget)
     rep = VerificationReport("theorem14")
     params = {"n": n, "t": t}
     if n < 2 * t + 1:
@@ -456,8 +461,7 @@ def verify_counterexample_regime(n: int, t: int) -> VerificationReport:
     return rep
 
 
-def pipeline_roundtrip(n: int, t: int, trials: int, seed: int,
-                       cap: int | None = None) -> VerificationReport:
+def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationReport:
     """Seeded maximalize -> fix-closure -> compress-closure trials.
 
     Each trial checks size preservation, t-cycle-intersection, fixedness,
@@ -484,7 +488,7 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int,
     stabilizer_outputs = 0
     for trial in range(trials):
         seed_perm = unrank(n, rng.randrange(order))
-        start = maximalize(PermFamily(n, [seed_perm]), t, cap)
+        start = maximalize(PermFamily(n, [seed_perm]), t)
         fixed, _ = fix_closure(start)
         compressed, _ = compress_closure(fixed)
         fixsys = fix_system(compressed)
@@ -503,13 +507,13 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int,
                 and is_t_intersecting_system(star, t),
             "disjoint-union-decomposition":
                 is_generating_set(star, compressed)
-                and bool(is_disjoint_union(compressed, star, cap)),
+                and bool(is_disjoint_union(compressed, star)),
             "stabilizer-pullback":
                 stabilizer_pullback_check(start, compressed, t),
         }
         if is_stabilizer_of_points(compressed, t):
             stabilizer_outputs += 1
-        if is_maximal(compressed, t, cap):
+        if is_maximal(compressed, t):
             maximality_preserved += 1
         for name, ok in outcome.items():
             if not ok and name not in failures:
@@ -524,14 +528,14 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int,
     return rep
 
 
-def verify_surgery_instances(cap: int | None = None) -> VerificationReport:
+def verify_surgery_instances() -> VerificationReport:
     """The documented surgery demonstration: on the system of all 4-subsets
     of [5] with t = 3 the rebuilt family is strictly larger at n = 7 and only
     ties at n = 6."""
     rep = VerificationReport("surgery")
     for n, expect_gain in ((7, True), (6, False)):
         system = SetSystem(n, itertools.combinations(range(1, 6), 4))
-        result = generating_set_surgery(system, 3, 4, cap)
+        result = generating_set_surgery(system, 3, 4)
         params = {"n": n, "t": 3, "size_class": 4}
         rep.add_bool("surgery-candidate-t-intersecting", params,
                      all(result.candidate_t_intersecting.values()),
@@ -544,16 +548,15 @@ def verify_surgery_instances(cap: int | None = None) -> VerificationReport:
     return rep
 
 
-def run_suite_all(n_max: int, seed: int,
-                  cap: int | None = None) -> VerificationReport:
+def run_suite_all(n_max: int, seed: int) -> VerificationReport:
     """Every lemma check at tiny scale; the repository's acceptance gate."""
     rep = VerificationReport("all")
     for t in range(1, n_max + 1):
         for n in range(2 * t + 1, n_max + 1):
-            rep.extend(verify_max_bound(n, t, cap=cap))
+            rep.extend(verify_max_bound(n, t))
     for n in range(3, min(n_max, 4) + 1):
         for t in range(1, n + 1):
-            bb = max_family_search(n, t, cap=cap)
+            bb = max_family_search(n, t)
             rep.add_bool("branch-and-bound-matches-naive-oracle",
                          {"n": n, "t": t},
                          bb.max_size == naive_max_family_size(n, t),
@@ -567,10 +570,10 @@ def run_suite_all(n_max: int, seed: int,
     bad_bounds = []
     for r in range(1, formula_n + 1):
         for pattern in itertools.combinations(range(1, formula_n + 1), r):
-            enumerated = len(fix_prefix_family(pattern, formula_n, cap))
+            enumerated = len(fix_prefix_family(pattern, formula_n))
             if enumerated != fix_prefix_count(formula_n, len(pattern), max(pattern)):
                 bad_counts.append(list(pattern))
-            reduced = len(reduced_fix_prefix_family(pattern, formula_n, cap))
+            reduced = len(reduced_fix_prefix_family(pattern, formula_n))
             if reduced < (formula_n - len(pattern) + 1) * enumerated:
                 bad_bounds.append(list(pattern))
     rep.add_bool("prefix-fix-counts-match-formula", {"n": formula_n},
@@ -578,6 +581,5 @@ def run_suite_all(n_max: int, seed: int,
     rep.add_bool("reduced-class-lower-bound", {"n": formula_n},
                  not bad_bounds, witness=bad_bounds or None)
     t_pipeline = 2 if n_max >= 5 else 1
-    rep.extend(pipeline_roundtrip(min(n_max, 5), t_pipeline, trials=25,
-                                  seed=seed, cap=cap))
+    rep.extend(pipeline_roundtrip(min(n_max, 5), t_pipeline, trials=25, seed=seed))
     return rep

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleint import transform
+from cycleint import config, transform
 from cycleint.cli import main
 from cycleint.extremal import stabilizer_family
 from cycleint.gensets import SetSystem
@@ -235,10 +235,63 @@ def test_verify_suite_all(tmp_path):
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
 def test_search_budget_must_be_finite_and_not_negative(capsys, budget):
-    assert main(["search", "--n", "5", "--t", "1", "--budget", budget]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert not captured.out
+    # (3, 2) is below n = 2t+1, where theorem14 searches nothing
+    for argv in (["search", "--n", "5", "--t", "1"],
+                 ["verify", "--suite", "theorem14", "--n", "3", "--t", "2"]):
+        assert main(argv + ["--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not captured.out
+
+
+ENUMERATION_CAP_4 = (config.ENUMERATION_CAP_ENV, "4", "exceeds enumeration cap 4")
+
+
+@pytest.mark.parametrize("env, value, message, argv", [
+    (*ENUMERATION_CAP_4, ["transform", "--pipeline", "maximalize", "--t", "1"]),
+    (*ENUMERATION_CAP_4, ["gensets", "--check", "disjoint-union", "--t", "2"]),
+    (*ENUMERATION_CAP_4, ["verify", "--suite", "pipeline", "--n", "5", "--t", "2",
+                          "--trials", "2", "--seed", "1"]),
+    (*ENUMERATION_CAP_4, ["verify", "--suite", "surgery"]),
+    (*ENUMERATION_CAP_4, ["verify", "--suite", "all", "--n-max", "5", "--seed", "1"]),
+    (config.SEARCH_CAP_ENV, "4", "above the search cap 4",
+     ["verify", "--suite", "all", "--n-max", "5", "--seed", "1"]),
+])
+def test_cap_env_reaches_every_walk(monkeypatch, capsys, stab_family_file,
+                                    env, value, message, argv):
+    monkeypatch.setenv(env, value)
+    family_flag = {"transform": "--in", "gensets": "--family"}.get(argv[0])
+    if family_flag:
+        argv = argv + [family_flag, str(stab_family_file)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_counterexample_cross_check_skipped_above_enumeration_cap(
+        monkeypatch, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "counterexample", "--n", "7", "--t", "4",
+            "--out", str(out)]
+    assert main(argv) == 0
+    names = [r["check"] for r in read_json(out)["records"]]
+    assert "counting-mode-matches-enumeration" in names
+    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "4")
+    assert main(argv) == 0
+    names = [r["check"] for r in read_json(out)["records"]]
+    assert "counting-mode-matches-enumeration" not in names
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--in", "family.json", "--enumeration-cap=8"],
+    ["gensets", "--family", "family.json", "--enumeration-cap=8"],
+    ["extremal", "--n", "5", "--t", "1", "--enumeration-cap=8"],
+    ["verify", "--suite", "surgery", "--enumeration-cap=8"],
+    ["search", "--n", "4", "--t", "1", "--search-cap=8"],
+    ["verify", "--suite", "surgery", "--search-cap=8"],
+])
+def test_removed_cap_flags_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])
