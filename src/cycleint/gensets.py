@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import report
 from .intersect import (PermFamily, _fixed_point_family, _sn_table,
                         is_family_t_cycle_intersecting, is_maximal)
-from .perm import parse_points, point_mask, rank
+from .perm import parse_degree, parse_points, point_mask, rank
 from .report import CheckResult
 from .transform import is_compressed_family, is_fixed_family
 
@@ -38,9 +38,7 @@ class SetSystem:
     __slots__ = ("n", "sets", "masks", "_mask_set")
 
     def __init__(self, n: int, sets: Iterable[Iterable[int]] = ()):
-        if n < 1:
-            raise ValueError("ground-set size must be at least 1")
-        self.n = n
+        self.n = parse_degree(n)
         self.sets = tuple(sorted({parse_points(s, n) for s in sets}))
         self.masks = tuple(map(point_mask, self.sets))
         self._mask_set = frozenset(self.masks)
@@ -49,9 +47,7 @@ class SetSystem:
     def from_json_dict(cls, data: dict) -> "SetSystem":
         if not isinstance(data, dict) or "n" not in data or "sets" not in data:
             raise ValueError('set-system JSON must be an object with "n" and "sets"')
-        n, sets = data["n"], data["sets"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f'"n" must be an integer, got {n!r}')
+        n, sets = parse_degree(data["n"]), data["sets"]
         if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
             raise ValueError('"sets" must be a list of lists')
         try:

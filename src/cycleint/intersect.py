@@ -19,7 +19,7 @@ import operator
 from collections.abc import Iterable, Iterator
 
 from . import config
-from .perm import Permutation, all_permutations, rank
+from .perm import Permutation, all_permutations, parse_cycles, parse_degree, rank
 
 
 class PermFamily:
@@ -28,8 +28,7 @@ class PermFamily:
     __slots__ = ("n", "members", "_images")
 
     def __init__(self, n: int, perms: Iterable[Permutation] = ()):
-        if n < 1:
-            raise ValueError("degree must be at least 1")
+        parse_degree(n)
         members = sorted(set(perms))
         for p in members:
             if p.n != n:
@@ -41,8 +40,7 @@ class PermFamily:
     @classmethod
     def from_images(cls, n: int, rows: Iterable) -> "PermFamily":
         """Build from raw image rows; cycle-notation strings are also accepted."""
-        from .perm import parse_cycles
-
+        parse_degree(n)
         perms = []
         for idx, row in enumerate(rows):
             try:
@@ -59,10 +57,7 @@ class PermFamily:
         if (not isinstance(data, dict) or "n" not in data
                 or not isinstance(data.get("perms"), (list, tuple))):
             raise ValueError('family JSON must be an object with "n" and a "perms" list')
-        n = data["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f'"n" must be an integer, got {n!r}')
-        return cls.from_images(n, data["perms"])
+        return cls.from_images(data["n"], data["perms"])
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "perms": [list(p.image) for p in self.members]}
@@ -206,8 +201,9 @@ _build_sn_table = functools.cache(_SnTable)
 
 
 def _sn_table(n: int, cap: int | None = None) -> _SnTable:
-    """The table of S_n, built on first use; refuses degrees beyond the
-    enumeration cap."""
+    """The table of S_n, built on first use. The degree is checked before the
+    enumeration cap, so a bad degree is never reported as a cap error."""
+    parse_degree(n)
     limit = config.enumeration_cap(cap)
     if n > limit:
         raise ValueError(f"degree {n} exceeds enumeration cap {limit}")

@@ -31,9 +31,7 @@ class Permutation:
     def __init__(self, image: Sequence[int]):
         """Validate the images with :func:`parse_points`: n distinct points of [n]."""
         image = tuple(image)
-        n = len(image)
-        if n == 0:
-            raise ValueError("degree must be at least 1")
+        n = parse_degree(len(image))
         if len(parse_points(image, n)) != n:
             raise ValueError(f"not a permutation of [{n}]: {image!r}")
         self.image = image
@@ -137,6 +135,16 @@ class Permutation:
         return f"Permutation({list(self.image)})"
 
 
+def parse_degree(n: int) -> int:
+    """The degree n, which must be an ``int`` (a ``bool`` is not) and at
+    least 1. The one check of a caller's degree."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f'"n" must be an integer, got {n!r}')
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    return n
+
+
 def parse_points(values: Iterable[int], n: int) -> tuple[int, ...]:
     """The distinct points among ``values``, sorted; each value must be an
     ``int`` (a ``bool`` is not) in [1, n]. The one check of a caller's points.
@@ -163,8 +171,7 @@ def point_mask(points: Iterable[int]) -> int:
 
 
 def identity(n: int) -> Permutation:
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    parse_degree(n)
     return Permutation(range(1, n + 1))
 
 
@@ -189,8 +196,7 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
     >>> from_cycles(5, [(1, 2, 3), (4, 5)]).image
     (2, 3, 1, 5, 4)
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    parse_degree(n)
     image = list(range(1, n + 1))
     used = set()
     for cycle in cycles:
@@ -242,8 +248,7 @@ def rank(sigma: Permutation) -> int:
 
 def unrank(n: int, r: int) -> Permutation:
     """Inverse of :func:`rank`; unrank(n, 0) is the identity."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    parse_degree(n)
     if not 0 <= r < math.factorial(n):
         raise ValueError(f"rank {r} out of range for degree {n}")
     digits = []
@@ -257,7 +262,6 @@ def unrank(n: int, r: int) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order (the rank order)."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    parse_degree(n)
     for image in itertools.permutations(range(1, n + 1)):
         yield Permutation._trusted(image)

@@ -38,7 +38,7 @@ from .intersect import (IntersectionGraph, PermFamily, _sn_table,
                         is_family_t_cycle_intersecting, is_maximal,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,
                         maximalize, stabilized_points)
-from .perm import Permutation, all_permutations, rank, unrank
+from .perm import Permutation, all_permutations, parse_degree, rank
 from .report import HYPOTHESIS_NOT_MET, PASS, VerificationReport
 from .transform import (compress_closure, fix_closure, is_compressed_family,
                         is_fixed_family, stabilizer_pullback_check)
@@ -378,13 +378,15 @@ def conjugacy_representatives(witnesses, n: int) -> list[PermFamily]:
     group = [(g.image, sorted(range(n), key=g.image.__getitem__))
              for g in _sn_table(n).perms]
 
-    def canonical_key(family: PermFamily):
-        return min(tuple(sorted(tuple(g[p.image[x] - 1] for x in g_inv) for p in family))
-                   for g, g_inv in group)
-
+    class_key: dict = {}  # each conjugate of a walked witness -> its orbit's minimum
     seen: dict = {}
     for family in witnesses:
-        seen.setdefault(canonical_key(family), family)
+        own = tuple(sorted(p.image for p in family))
+        if own not in class_key:
+            orbit = {tuple(sorted(tuple(g[p.image[x] - 1] for x in g_inv) for p in family))
+                     for g, g_inv in group}
+            class_key.update(dict.fromkeys(orbit, min(orbit)))
+        seen.setdefault(class_key[own], family)
     return [seen[key] for key in sorted(seen)]
 
 
@@ -397,6 +399,7 @@ def verify_max_bound(n: int, t: int, time_budget: float | None = None,
     """For n >= 2t+1: the maximum family size is (n-t)! and the maximum
     families are exactly the stabilizers of t points."""
     _check_budget(time_budget)
+    parse_degree(n)
     rep = VerificationReport("theorem14")
     params = {"n": n, "t": t}
     if n < 2 * t + 1:
@@ -467,12 +470,13 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     Each trial checks size preservation, t-cycle-intersection, fixedness,
     compressedness, that Fix(output) and its left-shift-minimal refinement
     generate the output and are pairwise t-intersecting set systems, that the
-    prefix-fix classes of the refinement partition the output, and the
-    stabilizer pullback. Failures are recorded with replayable witnesses.
+    prefix-fix classes of the refinement partition the output, and, for
+    n >= 2t+1, the stabilizer pullback. Failures are recorded with
+    replayable witnesses.
     """
     rep = VerificationReport("pipeline")
     rng = random.Random(seed)
-    order = math.factorial(n)
+    perms = _sn_table(n).perms  # rank order, so a draw is unrank(n, randrange(n!))
     checks = [
         "size-preserved-by-closures",
         "output-t-cycle-intersecting",
@@ -487,7 +491,7 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     maximality_preserved = 0
     stabilizer_outputs = 0
     for trial in range(trials):
-        seed_perm = unrank(n, rng.randrange(order))
+        seed_perm = perms[rng.randrange(len(perms))]
         start = maximalize(PermFamily(n, [seed_perm]), t)
         fixed, _ = fix_closure(start)
         compressed, _ = compress_closure(fixed)
@@ -522,7 +526,10 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
                                   "output": compressed.to_json_dict()}
     params = {"n": n, "t": t, "trials": trials, "seed": seed}
     for name in checks:
-        rep.add_bool(name, params, name not in failures, witness=failures.get(name))
+        if name == "stabilizer-pullback" and n < 2 * t + 1:
+            rep.add(name, params, HYPOTHESIS_NOT_MET, detail=f"n={n} < 2t+1={2 * t + 1}")
+        else:
+            rep.add_bool(name, params, name not in failures, witness=failures.get(name))
     rep.stats["maximality_preserved"] = maximality_preserved
     rep.stats["stabilizer_outputs"] = stabilizer_outputs
     return rep

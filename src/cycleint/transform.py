@@ -125,10 +125,11 @@ def _closure(family: PermFamily, offers, rewrite, operation: str,
     a member leaves only by a rewrite, which fixes i, so it never comes back
     within the row."""
     before = potential(family)
+    rows = range(1, family.n + 1) if family.members else ()  # no member, no offer
     per_pass: list[int] = []
     while not per_pass or per_pass[-1]:
         pass_count = 0
-        for i in range(1, family.n + 1):
+        for i in rows:
             offering: dict[int, list[Permutation]] = {}
             for s in family:
                 if s.image[i - 1] != i:

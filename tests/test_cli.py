@@ -233,6 +233,29 @@ def test_verify_suite_all(tmp_path):
     assert len(payload["records"]) >= 40
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "0", "--t", "1"],
+    ["search", "--n", "-3", "--t", "1"],
+    ["verify", "--suite", "theorem14", "--n", "0", "--t", "-1"],
+    ["verify", "--suite", "theorem14", "--n", "0", "--t", "0"],
+    ["verify", "--suite", "theorem14", "--n", "-5", "--t", "0"],
+    ["verify", "--suite", "pipeline", "--n", "-1", "--t", "1", "--seed", "1"]])
+def test_degree_below_one_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: degree must be at least 1\n" and not captured.out
+
+
+def test_verify_suite_all_below_the_pipeline_threshold(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--n-max", "2", "--seed", "1",
+                 "--out", str(out)]) == 0
+    (pullback,) = [r for r in read_json(out)["records"]
+                   if r["check"] == "stabilizer-pullback"]
+    assert pullback["status"] == "hypothesis-not-met"
+    assert pullback["detail"] == "n=2 < 2t+1=3"
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
 def test_search_budget_must_be_finite_and_not_negative(capsys, budget):
     # (3, 2) is below n = 2t+1, where theorem14 searches nothing
@@ -494,3 +517,25 @@ def test_transform_at_degree_400_sweeps_only_rows_a_member_moves(tmp_path, monke
     # fixing as above; compressing carries (3 4) down one row at a time, at
     # (i, i + 2) for rows 3 to 398, and the second pass finds nothing offered
     assert len(calls) == 5 + 396
+
+
+def test_closures_of_the_empty_family_return_at_once(tmp_path, monkeypatch):
+    walks = []
+    iterate = PermFamily.__iter__
+
+    def counted(family):
+        walks.append(None)
+        if len(walks) > 100:
+            raise AssertionError("a closure walked the rows of the empty family")
+        return iterate(family)
+
+    monkeypatch.setattr(PermFamily, "__iter__", counted)
+    family, out, trace = (tmp_path / name for name in ("in.json", "out.json", "trace.json"))
+    family.write_text(json.dumps({"n": 10**12, "perms": []}))
+    assert main(["transform", "--in", str(family), "--out", str(out),
+                 "--trace", str(trace)]) == 0
+    assert read_json(out) == {"n": 10**12, "perms": []}
+    clean = {"passes": 1, "applications": 0, "potential_before": 0,
+             "potential_after": 0, "pass_applications": [0]}
+    assert read_json(trace) == {"steps": [{"step": "fix-closure", **clean},
+                                          {"step": "compress-closure", **clean}]}

@@ -1,10 +1,15 @@
 import pytest
 
-from cycleint.extremal import stabilizer_family
-from cycleint.gensets import SetSystem, up_permutations
+from cycleint.extremal import f_family, stabilizer_family
+from cycleint.gensets import (SetSystem, fix_prefix_family, left_shift_set,
+                              up_permutations)
+from cycleint.intersect import PermFamily, build_intersection_graph
 from cycleint.perm import (Permutation, all_permutations, compose, conjugate,
-                           from_cycles, identity, parse_cycles, parse_points,
-                           point_mask, rank, unrank)
+                           from_cycles, identity, parse_cycles, parse_degree,
+                           parse_points, point_mask, rank, unrank)
+from cycleint.search import (conjugacy_representatives, max_family_search,
+                             naive_max_family_size, pipeline_roundtrip,
+                             verify_max_bound)
 
 
 def test_identity_examples():
@@ -35,6 +40,43 @@ def test_parse_points_and_point_mask():
     for bad in ([0], [4], [2.0], [2.9], [True], [False], ["2"], [None], [[1]]):
         with pytest.raises(ValueError):
             parse_points(bad, 3)
+
+
+def test_parse_degree():
+    for n in (1, 2, 7, 10**12):
+        assert parse_degree(n) == n
+    for bad in (2.9, 2.0, True, False, "3", None, [3]):
+        with pytest.raises(ValueError, match='^"n" must be an integer, got '):
+            parse_degree(bad)
+    for bad in (0, -1, -10**12):
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            parse_degree(bad)
+
+
+@pytest.mark.parametrize("n", [2.9, True, 0, -1])
+@pytest.mark.parametrize("call", [
+    lambda n: identity(n),
+    lambda n: from_cycles(n, []),
+    lambda n: parse_cycles("()", n),
+    lambda n: unrank(n, 0),
+    lambda n: list(all_permutations(n)),
+    lambda n: PermFamily(n),
+    lambda n: PermFamily.from_images(n, []),
+    lambda n: SetSystem(n),
+    lambda n: build_intersection_graph(n, 1),
+    lambda n: up_permutations((), n),
+    lambda n: left_shift_set((), n),
+    lambda n: fix_prefix_family((1,), n),
+    lambda n: stabilizer_family((), n),
+    lambda n: f_family(n, 1, 0),
+    lambda n: max_family_search(n, 1),
+    lambda n: verify_max_bound(n, 1),
+    lambda n: naive_max_family_size(n, 1),
+    lambda n: conjugacy_representatives([], n),
+    lambda n: pipeline_roundtrip(n, 1, 1, 1)])
+def test_every_degree_is_parsed(call, n):
+    with pytest.raises(ValueError):
+        call(n)
 
 
 @pytest.mark.parametrize("call", [

@@ -7,11 +7,11 @@ import sys
 
 import pytest
 
-from cycleint import config, search
+from cycleint import config, perm, search
 from cycleint.extremal import stabilizer_family
-from cycleint.intersect import (build_intersection_graph,
+from cycleint.intersect import (_sn_table, build_intersection_graph,
                                 is_family_t_cycle_intersecting, is_maximal)
-from cycleint.perm import identity
+from cycleint.perm import identity, unrank
 from cycleint.report import FAIL, HYPOTHESIS_NOT_MET, PASS
 from cycleint.search import (ENUMERATE_ALL, conjugacy_representatives,
                              max_family_search,
@@ -155,6 +155,30 @@ def test_conjugacy_representatives_cap_refused(monkeypatch):
         conjugacy_representatives([], 5)
 
 
+def _minimum_over_sn_representatives(witnesses, n):
+    """The minimum over all of S_n for every witness: the reference for the
+    one orbit walk per class."""
+    group = [(g.image, sorted(range(n), key=g.image.__getitem__))
+             for g in _sn_table(n).perms]
+
+    def canonical_key(family):
+        return min(tuple(sorted(tuple(g[p.image[x] - 1] for x in g_inv) for p in family))
+                   for g, g_inv in group)
+
+    seen = {}
+    for family in witnesses:
+        seen.setdefault(canonical_key(family), family)
+    return [seen[key] for key in sorted(seen)]
+
+
+def test_conjugacy_representatives_match_the_reference():
+    for n in range(1, 7):
+        for t in range(1, n + 1):
+            witnesses = max_family_search(n, t, mode=ENUMERATE_ALL).witnesses
+            reps = conjugacy_representatives(witnesses, n)
+            assert reps == _minimum_over_sn_representatives(witnesses, n), (n, t)
+
+
 def test_verify_max_bound_passes_at_small_instances():
     for n, t in ((3, 1), (4, 1), (5, 2)):
         rep = verify_max_bound(n, t)
@@ -214,6 +238,29 @@ def test_pipeline_statistics_are_plausible():
 def test_pipeline_holds_at_other_parameters(n, t, trials):
     rep = pipeline_roundtrip(n, t, trials=trials, seed=99)
     assert rep.passed, [r.to_json_dict() for r in rep.failures()]
+
+
+@pytest.mark.parametrize("n,t", [(1, 1), (2, 1), (3, 2), (4, 2), (4, 3), (6, 3)])
+def test_stabilizer_pullback_needs_n_at_least_2t_plus_1(n, t):
+    rep = pipeline_roundtrip(n, t, trials=20, seed=5)
+    assert rep.passed
+    (pullback,) = [r for r in rep.records if r.check == "stabilizer-pullback"]
+    assert pullback.status == HYPOTHESIS_NOT_MET
+    assert pullback.detail == f"n={n} < 2t+1={2 * t + 1}"
+    assert all(r.status == PASS for r in rep.records if r is not pullback)
+
+
+def test_pipeline_draws_its_seeds_from_the_table(monkeypatch):
+    for n in range(1, 7):
+        assert list(_sn_table(n).perms) == [unrank(n, r) for r in range(math.factorial(n))]
+
+    def refuse(n, r):
+        raise AssertionError("the seed draw unranked before the cap check")
+
+    monkeypatch.setattr(perm, "unrank", refuse)
+    monkeypatch.setattr(search, "unrank", refuse, raising=False)
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        pipeline_roundtrip(10**5, 1, 1, 1)
 
 
 def test_surgery_suite():
