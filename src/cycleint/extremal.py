@@ -11,6 +11,7 @@ both run they are cross-checked.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import config
@@ -80,11 +81,25 @@ class ExtremalComparison:
 
 def compare_extremal(n: int, t: int, i_values=(0, 1)) -> ExtremalComparison:
     """Sizes of F_i for the requested i, enumerated within the cap and counted
-    exactly either way; the two modes must agree wherever both run."""
+    exactly either way; the two modes must agree wherever both run.
+
+    Sizes that could not be printed are refused before any counting: F_i
+    holds every permutation fixing [t+i], so |F_i| >= (n-t-i)!."""
+    i_values = sorted(set(int(v) for v in i_values))
+    for i in i_values:
+        _check_f_params(n, t, i)
+    # no such limit before Python 3.10.7; 0 switches it off
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for i in i_values:
+        if digits and _factorial_exceeds_digits(n - t - i, digits):
+            raise ValueError(
+                f"|F{i}| at (n={n}, t={t}) is at least ({n - t - i})!, which has "
+                f"more than {digits} digits, the interpreter's limit for printing "
+                f"an integer")
     limit = config.enumeration_cap()
     sizes: dict[str, int] = {}
     cross_checked = n <= limit
-    for i in sorted(set(int(v) for v in i_values)):
+    for i in i_values:
         counted = f_family_size(n, t, i)
         if n <= limit:
             enumerated = len(f_family(n, t, i))
@@ -102,6 +117,17 @@ def compare_extremal(n: int, t: int, i_values=(0, 1)) -> ExtremalComparison:
             verdicts.append(f"{x} {symbol} {y}")
     return ExtremalComparison(n=n, t=t, sizes=sizes,
                               verdicts=tuple(verdicts), cross_checked=cross_checked)
+
+
+def _factorial_exceeds_digits(m: int, digits: int) -> bool:
+    """Whether m! has more than ``digits`` decimal digits: from log10(m!)
+    where that is clear, and exactly where it is within one of the limit."""
+    if m >= digits:  # m! > 10**m from m = 25 on, and a nonzero limit is >= 640
+        return True
+    log10 = math.lgamma(m + 1) / math.log(10)
+    if abs(log10 - digits) > 1:
+        return log10 > digits
+    return math.factorial(m) >= 10 ** digits
 
 
 def quad_value(n: int, t: int, delta: int) -> int:

@@ -5,7 +5,9 @@ graph, with candidates in big-int bitsets: one depth-first loop over an
 explicit stack, with the bound chosen at the root. For t = 1 the left cosets
 of the sharply 1-transitive group C_n are checked to be independent in the
 graph; they then bound every clique by their number, and each node branches
-on the coset with the fewest live candidates. Elsewhere vertices are
+on the coset with the fewest live candidates. Those per-coset counts travel
+down the tree: each child copies its parent's and subtracts the candidates
+its step removes, so no node recounts a coset. Elsewhere vertices are
 renumbered in a degeneracy order, and a greedy coloring of each candidate
 set, one class at a time on bitsets (BBMC), gives the bound. Enumerate-all
 pruning keeps branches that can tie the incumbent: the witness list is
@@ -38,7 +40,7 @@ from .intersect import (IntersectionGraph, PermFamily, _sn_table,
                         is_family_t_cycle_intersecting, is_maximal,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,
                         maximalize, stabilized_points)
-from .perm import Permutation, all_permutations, parse_degree, rank
+from .perm import all_permutations, parse_degree
 from .report import HYPOTHESIS_NOT_MET, PASS, VerificationReport
 from .transform import (compress_closure, fix_closure, is_compressed_family,
                         is_fixed_family, stabilizer_pullback_check)
@@ -152,13 +154,13 @@ def _coset_classes(graph: IntersectionGraph):
                 seen.add(hg)
                 group.append(hg)
     m = graph.size
+    vertex = {sigma.image: v for v, sigma in enumerate(graph.perms)}
     classes = []
     covered = 0
     for v, sigma in enumerate(graph.perms):
         if (covered >> v) & 1:
             continue
-        members = sorted({rank(Permutation._trusted(tuple(sigma.image[y - 1] for y in h)))
-                          for h in group})
+        members = sorted({vertex[tuple(sigma.image[y - 1] for y in h)] for h in group})
         mask = sum(1 << u for u in members)
         if covered & mask or any(graph.adj[u] & mask for u in members):
             return None
@@ -197,7 +199,12 @@ class _CliqueSearch:
         found = _coset_classes(self.graph)
         if found is not None:
             self.certificate, classes = found
-            self._search(self._coset_node(classes, range(len(classes)), full, 0))
+            self.class_of = [0] * len(self.adj)
+            for k, (_, members) in enumerate(classes):
+                for v in members:
+                    self.class_of[v] = k
+            counts = bytearray(len(members) for _, members in classes)
+            self._search(self._coset_node(classes, counts, full, full, 0))
             return
         # new vertex i is old vertex order[i], so scan order is bit order
         order = _degeneracy_order(self.adj)
@@ -250,27 +257,47 @@ class _CliqueSearch:
             else:
                 self._record(chosen)
 
-    def _coset_node(self, classes: list[tuple[int, list[int]]], live, cand: int,
-                    size: int):
+    def _coset_node(self, classes: list[tuple[int, list[int]]], counts: bytearray,
+                    parent_cand: int, cand: int, size: int):
         """A clique meets each covering class at most once, so the bound is
-        the clique so far plus the live classes with a candidate. Branch on the
-        one with the fewest (lowest index on ties), as in Knuth's Algorithm X:
-        each candidate in rank order, then a skip branch, so the search stays
-        exact when omega is below the class count."""
-        counts = [((cand & classes[k][0]).bit_count(), k) for k in live]
-        counts = [ck for ck in counts if ck[0]]
-        bound = size + len(counts)
+        the clique so far plus the classes with a candidate. Branch on the one
+        with the fewest (lowest index on ties), as in Knuth's Algorithm X: each
+        candidate in rank order, then a skip branch, so the search stays exact
+        when omega is below the class count.
+
+        ``counts`` holds each class's candidates at the parent; the node takes
+        its own copy less one per bit of ``parent_cand`` that ``cand`` drops,
+        so no node recounts its classes. A chosen member's row misses its own
+        class and the skip branch drops all of it, so the branched class is
+        zero in every child and the live classes are the nonzero counts."""
+        counts = self._drop_counts(counts, parent_cand & ~cand)
+        bound = size + len(counts) - counts.count(0)
         if self._cut(bound):
             return
-        k = min(counts)[1]
+        smallest = 1
+        while (k := counts.find(smallest)) < 0:
+            smallest += 1
         mask, members = classes[k]
-        child = functools.partial(self._coset_node, classes,
-                                  [j for _, j in counts if j != k])
-        del counts  # the node stays open on the stack; keep it small
+        child = functools.partial(self._coset_node, classes, counts, cand)
         for v in members:
             if (cand >> v) & 1:
                 yield bound, v, cand & self.adj[v], child
         yield bound - 1, -1, cand & ~mask, child
+
+    def _drop_counts(self, counts: bytearray, dropped: int) -> bytearray:
+        """A copy of ``counts`` less one for each vertex in ``dropped``, found
+        by searching its binary string: walking ``q & -q`` would do big-int
+        work on every bit. A function of its own, so that the string, up to
+        n! characters, does not stay in the frame of an open node."""
+        counts = bytearray(counts)
+        class_of = self.class_of
+        bits = bin(dropped)
+        top = len(bits) - 1
+        i = bits.find("1", 2)
+        while i >= 0:
+            counts[class_of[top - i]] -= 1
+            i = bits.find("1", i + 1)
+        return counts
 
     def _color_node(self, cand: int, size: int):
         """Branches on the vertices of ``_color_sort(cand)`` from the last
@@ -472,8 +499,11 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     generate the output and are pairwise t-intersecting set systems, that the
     prefix-fix classes of the refinement partition the output, and, for
     n >= 2t+1, the stabilizer pullback. Failures are recorded with
-    replayable witnesses.
+    replayable witnesses. At least one trial must run, so that a pass means
+    something was checked.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rep = VerificationReport("pipeline")
     rng = random.Random(seed)
     perms = _sn_table(n).perms  # rank order, so a draw is unrank(n, randrange(n!))

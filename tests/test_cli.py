@@ -138,6 +138,13 @@ def test_extremal_cross_check_failure_exits_one(monkeypatch, capsys):
     assert "cross-check failed" in capsys.readouterr().err
 
 
+def test_extremal_refuses_a_count_too_long_to_print(capsys):
+    assert main(["extremal", "--n", "2000", "--t", "1", "--families", "F0"]) == 2
+    err = capsys.readouterr().err
+    assert "|F0| at (n=2000, t=1) is at least (1999)!" in err
+    assert "the interpreter's limit for printing an integer" in err
+
+
 def test_extremal_rejects_unknown_family_name():
     assert main(["extremal", "--n", "6", "--t", "3", "--families", "G1"]) == 2
 
@@ -209,6 +216,15 @@ def test_verify_pipeline_requires_seed():
     assert main(["verify", "--suite", "pipeline", "--n", "5", "--t", "2",
                  "--trials", "5"]) == 2
     assert main(["verify", "--suite", "all"]) == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_pipeline_without_a_trial_is_a_usage_error(trials, capsys):
+    assert main(["verify", "--suite", "pipeline", "--n", "5", "--t", "2",
+                 "--trials", trials, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert f"trials must be at least 1, got {trials}" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_verify_pipeline_runs(tmp_path):

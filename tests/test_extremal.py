@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -138,6 +139,25 @@ def test_compare_extremal_beyond_cap_counts_only():
     cmp84 = compare_extremal(8, 4)
     assert cmp84.sizes == {"F0": 24, "F1": 26}
     assert not cmp84.cross_checked
+
+
+def test_compare_extremal_refuses_unprintable_sizes_before_counting(monkeypatch):
+    from cycleint import extremal
+
+    def refuse(*args):
+        raise AssertionError("counted a size that cannot be printed")
+
+    monkeypatch.setattr(extremal, "f_family_size", refuse)
+    monkeypatch.setattr(extremal, "_pattern_count", refuse)
+    with pytest.raises(ValueError, match=r"\|F0\| at \(n=1000000, t=1\)"):
+        compare_extremal(1000000, 1, (0, 1))
+    # the refusal is exact: m! is the first factorial too long to print
+    limit = sys.get_int_max_str_digits()
+    m = next(m for m in itertools.count() if math.factorial(m) >= 10 ** limit)
+    with pytest.raises(ValueError, match=rf"\|F2\| at \(n={m + 4}, t=2\) is at least \({m}\)!"):
+        compare_extremal(m + 4, 2, (3, 2))
+    with pytest.raises(AssertionError, match="counted"):
+        compare_extremal(m + 4, 3, (2,))  # (m-1)! can be printed
 
 
 def test_quad_value_instances():

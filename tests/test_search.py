@@ -1,3 +1,4 @@
+import functools
 import heapq
 import inspect
 import itertools
@@ -509,3 +510,67 @@ def test_counts_at_a_forced_expiry_are_pinned(monkeypatch, n, t, k, counts):
     result = max_family_search(n, t, mode=ENUMERATE_ALL, cap=7)
     assert not result.complete
     assert (result.nodes, result.cutoffs, result.max_size, len(result.witnesses)) == counts
+
+
+class _RecountingSearch(search._CliqueSearch):
+    """The coset search that recounts every live class at every node: the
+    reference for the node that carries its counts down the tree."""
+
+    def run(self):
+        self._tick()
+        self.certificate, classes = search._coset_classes(self.graph)
+        full = (1 << len(self.adj)) - 1
+        self._search(self._coset_node(classes, range(len(classes)), full, 0))
+
+    def _coset_node(self, classes, live, cand, size):
+        counts = [((cand & classes[k][0]).bit_count(), k) for k in live]
+        counts = [ck for ck in counts if ck[0]]
+        bound = size + len(counts)
+        if self._cut(bound):
+            return
+        k = min(counts)[1]
+        mask, members = classes[k]
+        child = functools.partial(self._coset_node, classes,
+                                  [j for _, j in counts if j != k])
+        for v in members:
+            if (cand >> v) & 1:
+                yield bound, v, cand & self.adj[v], child
+        yield bound - 1, -1, cand & ~mask, child
+
+
+def _search_outcome(cls, graph, enumerate_all):
+    clique_search = cls(graph, enumerate_all, None)
+    clique_search.run()
+    return (clique_search.best, clique_search.cliques, clique_search.nodes,
+            clique_search.cutoffs, clique_search.certificate)
+
+
+def _assert_counts_match_recounting(n, t):
+    graph = build_intersection_graph(n, t)
+    for enumerate_all in (False, True):
+        carried = _search_outcome(search._CliqueSearch, graph, enumerate_all)
+        assert carried[4] is not None
+        assert carried == _search_outcome(_RecountingSearch, graph, enumerate_all), \
+            (n, t, enumerate_all)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_carried_coset_counts_match_recounting_reference(n):
+    _assert_counts_match_recounting(n, 1)
+
+
+def test_carried_singleton_counts_match_recounting_reference(monkeypatch):
+    # the trivial group: n! singleton classes, most of them skipped
+    monkeypatch.setattr(search, "_coset_group",
+                        lambda n, t: ("trivial", [tuple(range(1, n + 1))]))
+    for n in range(1, 6):
+        for t in range(1, n + 1):
+            _assert_counts_match_recounting(n, t)
+
+
+def test_seven_one_enumerate_all_counts_are_pinned():
+    result = max_family_search(7, 1, mode=ENUMERATE_ALL, cap=7)
+    assert result.complete
+    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (4880, 4880, 7)
+    assert result.max_size == 720
+    assert (result.certificate["group"], result.certificate["classes"]) == ("C_7", 720)
