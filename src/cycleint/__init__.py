@@ -13,13 +13,12 @@ from .gensets import (GeneratingSetCertificate, SetSystem, SurgeryReport,
                       is_t_intersecting_system, left_shift_minimals,
                       left_shift_set, left_shift_system, max_element,
                       minimal_elements, partition_by_max_element,
-                      reduced_fix_prefix_family, reduced_fix_prefix_size,
-                      system_max_element, up_permutations, up_permutations_system)
+                      reduced_fix_prefix_family, system_max_element,
+                      up_permutations, up_permutations_system)
 from .intersect import (IntersectionGraph, PermFamily, build_intersection_graph,
-                        common_cycles, is_family_t_cycle_intersecting,
-                        is_maximal, is_stabilizer_of_points,
-                        is_t_cycle_intersecting_pair, maximalize,
-                        pointwise_agreements, stabilized_points)
+                        is_family_t_cycle_intersecting, is_maximal,
+                        is_stabilizer_of_points, is_t_cycle_intersecting_pair,
+                        maximalize, pointwise_agreements, stabilized_points)
 from .perm import (Permutation, all_permutations, compose, conjugate,
                    from_cycles, identity, parse_cycles, rank, unrank)
 from .report import (FAIL, HYPOTHESIS_NOT_MET, PASS, CheckRecord, CheckResult,

@@ -133,6 +133,9 @@ def _cmd_gensets(args) -> int:
 def _cmd_extremal(args) -> int:
     if args.mode == "quad":
         span = args.n_span
+        for flag, value in (("--t-max", args.t_max), ("--n-span", span)):
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1, got {value}")
         failures = []
         for t in range(1, args.t_max + 1):
             for n in range(2 * t + 1, 2 * t + span + 1):

@@ -43,18 +43,6 @@ class SetSystem:
         self.masks = tuple(map(point_mask, self.sets))
         self._mask_set = frozenset(self.masks)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SetSystem":
-        if not isinstance(data, dict) or "n" not in data or "sets" not in data:
-            raise ValueError('set-system JSON must be an object with "n" and "sets"')
-        n, sets = parse_degree(data["n"]), data["sets"]
-        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
-            raise ValueError('"sets" must be a list of lists')
-        try:
-            return cls(n, sets)
-        except ValueError as exc:
-            raise ValueError(f"sets: {exc}") from None
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "sets": [list(s) for s in self.sets]}
 
@@ -287,12 +275,6 @@ def reduced_fix_prefix_family(points: Iterable[int], n: int) -> PermFamily:
     return _fixed_point_family(n, lambda mask: mask & prefix == wanted & prefix)
 
 
-def reduced_fix_prefix_size(points: Iterable[int], n: int) -> int:
-    """Formula-mode size of the reduced class (pattern minus top, window - 1)."""
-    prefix, wanted = _prefix_masks(points, n)
-    return _pattern_count(n, wanted.bit_count() - 1, prefix.bit_length() - 1)
-
-
 # ---------------------------------------------------------------------------
 # Structure checks on generating sets.
 # ---------------------------------------------------------------------------
@@ -337,20 +319,16 @@ def is_disjoint_union(family: PermFamily, system: SetSystem) -> CheckResult:
     return report.passed()
 
 
-def disjoint_union_check(family: PermFamily, system: SetSystem | None = None,
-                         t: int | None = None) -> CheckResult:
+def disjoint_union_check(family: PermFamily, system: SetSystem, t: int) -> CheckResult:
     """Hypothesis-gated partition check.
 
-    Validates what it can before asserting the conclusion: the system (derived
-    from Fix(family) when not supplied) must be left-compressed,
-    inclusion-minimal, and generating; when t is supplied the family must be
-    t-cycle-intersecting and maximal as well. Unmet hypotheses are reported
+    Validates what it can before asserting the conclusion: the system must be
+    left-compressed, inclusion-minimal, and generating, and the family
+    t-cycle-intersecting and maximal. Unmet hypotheses are reported
     distinctly from a failed partition.
     """
     if not family.members:
         return report.hypothesis_not_met(detail="empty family")
-    if system is None:
-        system = derive_star_generating_set(family)
     if any(not s for s in system):
         return report.hypothesis_not_met(detail="system contains the empty set")
     if left_shift_minimals(system) != system:
@@ -362,11 +340,10 @@ def disjoint_union_check(family: PermFamily, system: SetSystem | None = None,
         return report.hypothesis_not_met(detail="family is not fixed")
     if not is_compressed_family(family):
         return report.hypothesis_not_met(detail="family is not compressed")
-    if t is not None:
-        if not is_family_t_cycle_intersecting(family, t):
-            return report.hypothesis_not_met(detail=f"family is not {t}-cycle-intersecting")
-        if not is_maximal(family, t):
-            return report.hypothesis_not_met(detail="family is not maximal")
+    if not is_family_t_cycle_intersecting(family, t):
+        return report.hypothesis_not_met(detail=f"family is not {t}-cycle-intersecting")
+    if not is_maximal(family, t):
+        return report.hypothesis_not_met(detail="family is not maximal")
     return is_disjoint_union(family, system)
 
 

@@ -82,13 +82,6 @@ class PermFamily:
         return f"PermFamily(n={self.n}, size={len(self.members)})"
 
 
-def common_cycles(sigma: Permutation, pi: Permutation) -> tuple[tuple[int, ...], ...]:
-    """The cycles present in both canonical decompositions, sorted."""
-    if sigma.n != pi.n:
-        raise ValueError(f"degree mismatch: {sigma.n} vs {pi.n}")
-    return tuple(sorted(sigma.cycle_set() & pi.cycle_set()))
-
-
 def is_t_cycle_intersecting_pair(sigma: Permutation, pi: Permutation, t: int) -> bool:
     if sigma.n != pi.n:
         raise ValueError(f"degree mismatch: {sigma.n} vs {pi.n}")
@@ -159,9 +152,6 @@ class IntersectionGraph:
     @property
     def size(self) -> int:
         return len(self.perms)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u != v and bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

@@ -51,17 +51,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.image)
 
-    def __call__(self, x: int) -> int:
-        """sigma(x), for a point x checked with :func:`parse_points`."""
-        (x,) = parse_points((x,), len(self.image))
-        return self.image[x - 1]
-
-    def preimage(self, y: int) -> int:
-        """The point x with sigma(x) = y, for a point y checked with
-        :func:`parse_points`."""
-        (y,) = parse_points((y,), len(self.image))
-        return self.image.index(y) + 1
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Canonical cycle decomposition, 1-cycles included.
 
@@ -113,14 +102,6 @@ class Permutation:
         for x, y in enumerate(image, start=1):
             inv[y - 1] = x
         return Permutation(inv)
-
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.image, start=1))
-
-    def to_cycle_string(self) -> str:
-        """Cycle notation, e.g. "(1 2 3)(4 5)"; 1-cycles omitted, identity is "()"."""
-        parts = [f"({' '.join(map(str, c))})" for c in self.cycles() if len(c) > 1]
-        return "".join(parts) if parts else "()"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.image == other.image

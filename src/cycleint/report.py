@@ -112,5 +112,8 @@ class VerificationReport:
             suffix = f" [{r.detail}]" if r.detail else ""
             lines.append(f"{mark} {r.check} ({params}){suffix}")
         verdict = "all passed" if self.passed else f"{len(self.failures())} failed"
+        skipped = sum(r.status == HYPOTHESIS_NOT_MET for r in self.records)
+        if skipped:
+            verdict += f", {skipped} not assessed"
         lines.append(f"suite {self.suite}: {len(self.records)} checks, {verdict}")
         return lines

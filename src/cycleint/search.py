@@ -79,13 +79,18 @@ class BudgetExceeded(Exception):
     pass
 
 
-def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded
+
+
+def _degeneracy_order(adj: tuple[int, ...], deadline: float | None) -> list[int]:
     """Repeatedly remove a minimum-degree vertex; ties broken by rank.
 
     This is Matula and Beck's smallest-last order with a bucket queue: one
     bitset of vertices per degree and a minimum-degree pointer, which can fall
     by at most one per removal, so the lowest set bit of the lowest nonempty
-    bucket is the next vertex.
+    bucket is the next vertex. The deadline is read once per vertex.
     """
     degree = [row.bit_count() for row in adj]
     buckets = [0] * (max(degree, default=0) + 1)
@@ -95,6 +100,7 @@ def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
     order = []
     low = 0
     while remaining:
+        _check_deadline(deadline)
         while not buckets[low]:
             low += 1
         v = (buckets[low] & -buckets[low]).bit_length() - 1
@@ -113,11 +119,14 @@ def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
     return order
 
 
-def _renumber(adj: tuple[int, ...], order: list[int]) -> list[int]:
-    """The rows of ``adj`` with vertex ``order[i]`` renamed ``i``."""
+def _renumber(adj: tuple[int, ...], order: list[int],
+              deadline: float | None) -> list[int]:
+    """The rows of ``adj`` with vertex ``order[i]`` renamed ``i``; the
+    deadline is read once per vertex."""
     position = sorted(range(len(order)), key=order.__getitem__)
     rows = []
     for v in order:
+        _check_deadline(deadline)
         row, new = adj[v], 0
         while row:
             low = row & -row
@@ -207,8 +216,8 @@ class _CliqueSearch:
             self._search(self._coset_node(classes, counts, full, full, 0))
             return
         # new vertex i is old vertex order[i], so scan order is bit order
-        order = _degeneracy_order(self.adj)
-        self.adj = _renumber(self.adj, order)
+        order = _degeneracy_order(self.adj, self.deadline)
+        self.adj = _renumber(self.adj, order, self.deadline)
         try:
             self._search(self._color_node(full, 0))
         finally:  # an expired search still returns its incumbents
@@ -216,8 +225,7 @@ class _CliqueSearch:
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded
+        _check_deadline(self.deadline)
 
     def _cut(self, bound: int) -> bool:
         """Whether a node with this bound can neither beat nor, in
@@ -338,6 +346,11 @@ def _check_budget(time_budget: float | None) -> None:
         raise ValueError(f"time budget must be finite and >= 0, got {time_budget!r}")
 
 
+def _check_t(t: int) -> None:
+    if t < 0:
+        raise ValueError(f"t must be at least 0, got {t}")
+
+
 def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
                       time_budget: float | None = None,
                       cap: int | None = None,
@@ -427,6 +440,7 @@ def verify_max_bound(n: int, t: int, time_budget: float | None = None,
     families are exactly the stabilizers of t points."""
     _check_budget(time_budget)
     parse_degree(n)
+    _check_t(t)
     rep = VerificationReport("theorem14")
     params = {"n": n, "t": t}
     if n < 2 * t + 1:
@@ -504,6 +518,7 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_t(t)
     rep = VerificationReport("pipeline")
     rng = random.Random(seed)
     perms = _sn_table(n).perms  # rank order, so a draw is unrank(n, randrange(n!))

@@ -16,8 +16,7 @@ from cycleint.gensets import (SetSystem, certify_generating_set,
                               is_t_intersecting_system, left_shift_minimals,
                               left_shift_set, left_shift_system, max_element,
                               minimal_elements, partition_by_max_element,
-                              reduced_fix_prefix_family,
-                              reduced_fix_prefix_size, system_max_element,
+                              reduced_fix_prefix_family, system_max_element,
                               up_permutations, up_permutations_system)
 from cycleint.intersect import PermFamily, maximalize
 from cycleint.perm import Permutation, all_permutations, identity, unrank
@@ -89,11 +88,6 @@ def test_set_system_dedup_and_order():
 def test_set_system_rejects_out_of_range():
     with pytest.raises(ValueError):
         SetSystem(3, [(1, 4)])
-
-
-def test_set_system_json_roundtrip():
-    sys_ = SetSystem(5, [(1, 2), (1, 3)])
-    assert SetSystem.from_json_dict(sys_.to_json_dict()) == sys_
 
 
 def test_set_system_difference_union():
@@ -254,14 +248,6 @@ def test_reduced_class_examples():
     assert len(reduced_fix_prefix_family(range(1, 6), 5)) == 1
 
 
-def test_reduced_class_formula_matches_enumeration():
-    for n in (4, 5):
-        for r in range(1, n + 1):
-            for pattern in itertools.combinations(range(1, n + 1), r):
-                assert (len(reduced_fix_prefix_family(pattern, n))
-                        == reduced_fix_prefix_size(pattern, n))
-
-
 @pytest.mark.parametrize("n", (4, 5, 6))
 def test_reduced_class_lower_bound_and_strictness(n):
     # the multiplier bound always holds; the excess is strict exactly when the
@@ -282,7 +268,7 @@ def test_reduced_class_lower_bound_and_strictness(n):
 
 def test_disjoint_union_on_stabilizer():
     fam = stab({1, 2}, 5)
-    result = disjoint_union_check(fam, t=2)
+    result = disjoint_union_check(fam, derive_star_generating_set(fam), 2)
     assert result.status == PASS
     assert bool(result)
 
@@ -301,7 +287,8 @@ def test_disjoint_union_on_window_family():
 def test_disjoint_union_hypothesis_gating():
     # a non-fixed family is rejected before the conclusion is assessed
     fam = PermFamily(3, [Permutation([2, 1, 3])])
-    assert disjoint_union_check(fam).status == HYPOTHESIS_NOT_MET
+    assert (disjoint_union_check(fam, derive_star_generating_set(fam), 1).status
+            == HYPOTHESIS_NOT_MET)
     # a system that is not left-compressed inclusion-minimal is rejected too
     good = stab({1, 2}, 5)
     lopsided = SetSystem(5, [(1, 2), (1, 2, 3)])

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -304,7 +305,7 @@ def test_degeneracy_order_matches_heap_reference():
     for n in range(1, 7):
         for t in range(0, n + 1):
             adj = build_intersection_graph(n, t).adj
-            assert search._degeneracy_order(adj) == _heap_degeneracy_order(adj), (n, t)
+            assert search._degeneracy_order(adj, None) == _heap_degeneracy_order(adj), (n, t)
 
 
 def test_budget_is_read_before_the_vertex_ordering(monkeypatch):
@@ -315,6 +316,21 @@ def test_budget_is_read_before_the_vertex_ordering(monkeypatch):
     result = max_family_search(6, 2, time_budget=0.0)
     assert not result.complete
     assert result.nodes == 1
+
+
+def test_budget_is_read_during_the_vertex_ordering():
+    # t = 0 makes the graph complete, where ordering and renumbering alone
+    # take tens of seconds at n = 7
+    start = time.monotonic()
+    result = max_family_search(7, 0, time_budget=0.5)
+    assert not result.complete
+    assert time.monotonic() - start < 10
+    adj = build_intersection_graph(4, 1).adj
+    past = time.monotonic() - 1
+    with pytest.raises(search.BudgetExceeded):
+        search._degeneracy_order(adj, past)
+    with pytest.raises(search.BudgetExceeded):
+        search._renumber(adj, list(range(len(adj))), past)
 
 
 def _fallback(monkeypatch, *args, **kwargs):
@@ -428,10 +444,10 @@ def test_renumbered_coloring_matches_scan_order_reference():
     for n in range(1, 7):
         for t in range(1, n + 1):
             graph = build_intersection_graph(n, t)
-            order = search._degeneracy_order(graph.adj)
+            order = search._degeneracy_order(graph.adj, None)
             position = {v: i for i, v in enumerate(order)}
             clique_search = search._CliqueSearch(graph, True, None)
-            clique_search.adj = search._renumber(graph.adj, order)
+            clique_search.adj = search._renumber(graph.adj, order, None)
             if n <= 4:
                 assert all(((clique_search.adj[i] >> j) & 1)
                            == ((graph.adj[order[i]] >> order[j]) & 1)

@@ -56,10 +56,10 @@ def test_ij_fix_perm_gains_fixed_points():
         base = len(s.fixed_points())
         for i, j in itertools.permutations(range(1, 5), 2):
             gained = len(ij_fix_perm(s, i, j).fixed_points()) - base
-            if s(i) == j:
+            if s.image[i - 1] == j:
                 assert gained in (1, 2)
                 # both endpoints settle when (i j) was a 2-cycle
-                assert (gained == 2) == (s(j) == i)
+                assert (gained == 2) == (s.image[j - 1] == i)
             else:
                 assert gained == 0
 
