@@ -165,8 +165,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_search(args) -> int:
     mode = search.ENUMERATE_ALL if args.enumerate_all else search.SIZE_ONLY
-    result = search.max_family_search(args.n, args.t, mode=mode,
-                                      time_budget=args.budget)
+    result, graph = search._search_with_graph(args.n, args.t, mode, args.budget)
     payload = result.to_json_dict()
     if args.canonical_witnesses:
         reps = search.conjugacy_representatives(result.witnesses, args.n)
@@ -174,8 +173,6 @@ def _cmd_search(args) -> int:
             r.to_json_dict()["perms"] for r in reps]
     _write_json(args.out, payload)
     if args.export_graph:
-        from .intersect import build_intersection_graph
-        graph = build_intersection_graph(args.n, args.t, cap=args.n)
         try:
             with open(args.export_graph, "w", encoding="utf-8") as handle:
                 for line in graph.dimacs_lines():

@@ -22,6 +22,9 @@ from . import config
 from .perm import Permutation, all_permutations, parse_cycles, parse_degree, rank
 
 
+_image = operator.attrgetter("image")
+
+
 class PermFamily:
     """A deduplicated set of degree-n permutations in lexicographic image order."""
 
@@ -29,7 +32,7 @@ class PermFamily:
 
     def __init__(self, n: int, perms: Iterable[Permutation] = ()):
         parse_degree(n)
-        members = sorted(set(perms))
+        members = sorted(set(perms), key=_image)
         for p in members:
             if p.n != n:
                 raise ValueError(f"member degree {p.n} does not match family degree {n}")
@@ -245,8 +248,13 @@ def maximalize(family: PermFamily, t: int) -> PermFamily:
     lexicographic pass: the kept family only grows, so a permutation passed
     over stays incompatible.
     """
+    return _maximalize(family, t, _neighbourhoods(_sn_table(family.n), t))
+
+
+def _maximalize(family: PermFamily, t: int, neighbours) -> PermFamily:
+    """:func:`maximalize` on ``_neighbourhoods(table, t)`` of the family's
+    degree, which a caller with many families of one degree builds once."""
     table = _sn_table(family.n)
-    neighbours = _neighbourhoods(table, t)
     ranks = [rank(p) for p in family]
     family_mask = sum(1 << r for r in ranks)
     cand = (1 << len(table.perms)) - 1

@@ -35,11 +35,10 @@ from .gensets import (SetSystem, derive_star_generating_set, fix_prefix_count,
                       fix_prefix_family, fix_system, generating_set_surgery,
                       is_disjoint_union, is_generating_set,
                       is_t_intersecting_system, reduced_fix_prefix_family)
-from .intersect import (IntersectionGraph, PermFamily, _sn_table,
-                        build_intersection_graph,
-                        is_family_t_cycle_intersecting, is_maximal,
-                        is_stabilizer_of_points, is_t_cycle_intersecting_pair,
-                        maximalize, stabilized_points)
+from .intersect import (IntersectionGraph, PermFamily, _maximalize,
+                        _neighbourhoods, _sn_table, build_intersection_graph,
+                        is_family_t_cycle_intersecting, is_stabilizer_of_points,
+                        is_t_cycle_intersecting_pair, stabilized_points)
 from .perm import all_permutations, parse_degree
 from .report import HYPOTHESIS_NOT_MET, PASS, VerificationReport
 from .transform import (compress_closure, fix_closure, is_compressed_family,
@@ -361,6 +360,14 @@ def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
     cap is admitted only with a time budget. A budget expiry returns the best
     clique found so far with ``complete=False``, never a silent truncation.
     """
+    return _search_with_graph(n, t, mode, time_budget, cap, graph)[0]
+
+
+def _search_with_graph(n: int, t: int, mode: str, time_budget: float | None,
+                       cap: int | None = None, graph: IntersectionGraph | None = None
+                       ) -> tuple[CliqueSearchResult, IntersectionGraph]:
+    """:func:`max_family_search` and the graph it searched, built behind its
+    cap check unless supplied."""
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValueError(f"unknown mode {mode!r}")
     _check_budget(time_budget)
@@ -389,7 +396,7 @@ def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
     return CliqueSearchResult(
         n=n, t=t, mode=mode, max_size=search.best, witnesses=tuple(witnesses),
         complete=complete, nodes=search.nodes, cutoffs=search.cutoffs,
-        elapsed=time.monotonic() - start, certificate=search.certificate)
+        elapsed=time.monotonic() - start, certificate=search.certificate), graph
 
 
 def naive_max_family_size(n: int, t: int) -> int:
@@ -521,7 +528,8 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     _check_t(t)
     rep = VerificationReport("pipeline")
     rng = random.Random(seed)
-    perms = _sn_table(n).perms  # rank order, so a draw is unrank(n, randrange(n!))
+    table = _sn_table(n)  # rank order, so a draw is unrank(n, randrange(n!))
+    neighbours = _neighbourhoods(table, t)  # one index for every trial
     checks = [
         "size-preserved-by-closures",
         "output-t-cycle-intersecting",
@@ -536,8 +544,8 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     maximality_preserved = 0
     stabilizer_outputs = 0
     for trial in range(trials):
-        seed_perm = perms[rng.randrange(len(perms))]
-        start = maximalize(PermFamily(n, [seed_perm]), t)
+        seed_perm = table.perms[rng.randrange(len(table.perms))]
+        start = _maximalize(PermFamily(n, [seed_perm]), t, neighbours)
         fixed, _ = fix_closure(start)
         compressed, _ = compress_closure(fixed)
         fixsys = fix_system(compressed)
@@ -562,7 +570,7 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
         }
         if is_stabilizer_of_points(compressed, t):
             stabilizer_outputs += 1
-        if is_maximal(compressed, t):
+        if len(_maximalize(compressed, t, neighbours)) == len(compressed):  # is_maximal
             maximality_preserved += 1
         for name, ok in outcome.items():
             if not ok and name not in failures:

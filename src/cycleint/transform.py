@@ -10,7 +10,8 @@ Family-level variants rewrite a member only when the rewrite is not already
 present in the family *as it was before the sweep step*; this keeps the family
 size constant. Closures sweep the index pairs in lexicographic order until a
 clean pass, visiting only the pairs whose partner j some member offers in
-row i; traces record the work.
+row i; traces record the work. A closure keeps its members in one set, which
+each visited pair rewrites in place, and builds one family at the end.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _ij_fix(sigma: Permutation, i: int, j: int) -> Permutation:  # points checke
     pre_i = image.index(i) + 1
     image[i - 1] = i
     image[pre_i - 1] = j
-    return Permutation(image)
+    return Permutation._trusted(tuple(image))  # images swapped: still a permutation
 
 
 def _compress(sigma: Permutation, i: int, j: int) -> Permutation:  # points checked
@@ -77,35 +78,40 @@ def _compress(sigma: Permutation, i: int, j: int) -> Permutation:  # points chec
     image[i - 1] = i
     image[j - 1] = sigma.image[i - 1]
     image[pre_i - 1] = j
-    return Permutation(image)
+    return Permutation._trusted(tuple(image))  # images permuted: still a permutation
 
 
-def _apply_family(family: PermFamily, rewrite) -> tuple[PermFamily, int]:
-    """Set-map semantics: rewrite each member unless the result is already
-    a member of the input family. Returns the new family and rewrite count."""
-    out = []
+def _rewrite_step(live: set[Permutation], members, rewrite) -> int:
+    """One operator step on the family ``live``, in place: each of ``members``
+    (all in ``live``) is replaced by its rewrite unless that is in ``live``.
+    Returns the number replaced.
+
+    This is the set-map rule on the family as it was before the step. At the
+    pair (i, j) every rewrite fixes i and every member it replaces moves i, so
+    no rewrite is a member the step removed; rewrites are injective, so none
+    is one the step added."""
     applications = 0
-    for sigma in family:
+    for sigma in members:
         candidate = rewrite(sigma)
-        if candidate != sigma and candidate not in family:
-            out.append(candidate)
+        if candidate not in live:  # an unchanged sigma is live, so it stays
+            live.remove(sigma)
+            live.add(candidate)
             applications += 1
-        else:
-            out.append(sigma)
-    result = PermFamily(family.n, out)
-    if len(result) != len(family):  # rewrites are injective; reaching this is a bug
-        raise RuntimeError("family operator collapsed distinct members")
-    return result, applications
+    return applications
 
 
 def ij_fix_family(family: PermFamily, i: int, j: int) -> PermFamily:
     _check_points(family.n, i, j)
-    return _apply_family(family, lambda s: _ij_fix(s, i, j))[0]
+    live = set(family)
+    _rewrite_step(live, family, lambda s: _ij_fix(s, i, j))
+    return PermFamily(family.n, live)
 
 
 def compress_family(family: PermFamily, i: int, j: int) -> PermFamily:
     _check_points(family.n, i, j, ordered=True)
-    return _apply_family(family, lambda s: _compress(s, i, j))[0]
+    live = set(family)
+    _rewrite_step(live, family, lambda s: _compress(s, i, j))
+    return PermFamily(family.n, live)
 
 
 def _fix_potential(family: PermFamily) -> int:
@@ -125,21 +131,23 @@ def _closure(family: PermFamily, offers, rewrite, operation: str,
     a member leaves only by a rewrite, which fixes i, so it never comes back
     within the row."""
     before = potential(family)
-    rows = range(1, family.n + 1) if family.members else ()  # no member, no offer
+    live = set(family)
+    rows = range(1, family.n + 1) if live else ()  # no member, no offer
     per_pass: list[int] = []
     while not per_pass or per_pass[-1]:
         pass_count = 0
         for i in rows:
             offering: dict[int, list[Permutation]] = {}
-            for s in family:
+            for s in live:
                 if s.image[i - 1] != i:
                     for j in offers(s, i):
                         offering.setdefault(j, []).append(s)
             for j in sorted(offering):
-                if any(s in family for s in offering[j]):
-                    family, count = _apply_family(family, lambda s: rewrite(s, i, j))
-                    pass_count += count
+                present = [s for s in offering[j] if s in live]
+                if present:
+                    pass_count += _rewrite_step(live, present, lambda s: rewrite(s, i, j))
         per_pass.append(pass_count)
+    family = PermFamily(family.n, live)
     return family, ClosureTrace(operation, len(per_pass), sum(per_pass), before,
                                 potential(family), tuple(per_pass))
 

@@ -186,6 +186,35 @@ def test_search_graph_export(tmp_path):
     assert lines[0] == "p edge 6 3"
 
 
+def test_search_exports_the_graph_it_searched(tmp_path, monkeypatch, capsys):
+    from cycleint import intersect, search
+
+    builds = []
+    build = intersect.build_intersection_graph
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(intersect, "build_intersection_graph", counted)
+    monkeypatch.setattr(search, "build_intersection_graph", counted)
+    edges = tmp_path / "graph.txt"
+    assert main(["search", "--n", "4", "--t", "2", "--export-graph", str(edges)]) == 0
+    assert len(builds) == 1
+    assert edges.read_text().startswith("p edge 24 ")
+
+    def refuse(n):
+        raise AssertionError(f"walked S_{n}")
+
+    monkeypatch.delenv(config.SEARCH_CAP_ENV, raising=False)
+    monkeypatch.setattr(intersect, "_build_sn_table", refuse)
+    capsys.readouterr()
+    edges = tmp_path / "graph9.txt"
+    assert main(["search", "--n", "9", "--t", "1", "--export-graph", str(edges)]) == 2
+    assert capsys.readouterr().err == "error: degree 9 exceeds search cap 6\n"
+    assert not edges.exists()
+
+
 def test_search_canonical_witnesses(tmp_path):
     out = tmp_path / "result.json"
     code = main(["search", "--n", "4", "--t", "1", "--enumerate-all",
@@ -371,7 +400,7 @@ def test_resource_errors_exit_2(monkeypatch, capsys, error):
     def exhausted(*args, **kwargs):
         raise error()
 
-    monkeypatch.setattr(search, "max_family_search", exhausted)
+    monkeypatch.setattr(search, "_search_with_graph", exhausted)
     assert main(["search", "--n", "4", "--t", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error.__name__}: ")
@@ -509,9 +538,9 @@ def test_transform_at_degree_400_sweeps_only_rows_a_member_moves(tmp_path, monke
         return image
 
     calls = []
-    apply_family = transform._apply_family
-    monkeypatch.setattr(transform, "_apply_family",
-                        lambda *args: calls.append(args) or apply_family(*args))
+    rewrite_step = transform._rewrite_step
+    monkeypatch.setattr(transform, "_rewrite_step",
+                        lambda *args: calls.append(args) or rewrite_step(*args))
     family, out, trace = (tmp_path / name for name in ("in.json", "out.json", "trace.json"))
     argv = ["transform", "--in", str(family), "--out", str(out), "--trace", str(trace)]
     family.write_text(json.dumps({"n": n, "perms": []}))

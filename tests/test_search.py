@@ -9,9 +9,9 @@ import time
 
 import pytest
 
-from cycleint import config, perm, search
+from cycleint import config, intersect, perm, search, transform
 from cycleint.extremal import stabilizer_family
-from cycleint.intersect import (_sn_table, build_intersection_graph,
+from cycleint.intersect import (PermFamily, _sn_table, build_intersection_graph,
                                 is_family_t_cycle_intersecting, is_maximal)
 from cycleint.perm import identity, unrank
 from cycleint.report import FAIL, HYPOTHESIS_NOT_MET, PASS
@@ -250,6 +250,32 @@ def test_stabilizer_pullback_needs_n_at_least_2t_plus_1(n, t):
     assert pullback.status == HYPOTHESIS_NOT_MET
     assert pullback.detail == f"n={n} < 2t+1={2 * t + 1}"
     assert all(r.status == PASS for r in rep.records if r is not pullback)
+
+
+def test_pipeline_builds_one_neighbour_index_and_one_family_per_closure(monkeypatch):
+    indexes = []
+    neighbourhoods = intersect._neighbourhoods
+
+    def counted_index(table, t):
+        indexes.append(t)
+        return neighbourhoods(table, t)
+
+    monkeypatch.setattr(intersect, "_neighbourhoods", counted_index)
+    monkeypatch.setattr(search, "_neighbourhoods", counted_index, raising=False)
+    assert pipeline_roundtrip(5, 2, trials=10, seed=7).passed
+    assert indexes == [2]
+
+    built = []
+    init = PermFamily.__init__
+    monkeypatch.setattr(PermFamily, "__init__",
+                        lambda self, *args: built.append(None) or init(self, *args))
+    rng = random.Random(3)
+    for _ in range(10):
+        family = intersect.maximalize(PermFamily(6, [unrank(6, rng.randrange(720))]), 1)
+        for closure in (transform.fix_closure, transform.compress_closure):
+            built.clear()
+            family, trace = closure(family)
+            assert len(built) == 1, (closure.__name__, trace)
 
 
 def test_pipeline_draws_its_seeds_from_the_table(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cycleint.intersect import (PermFamily, is_family_t_cycle_intersecting,
                                 is_maximal, is_stabilizer_of_points, maximalize)
 from cycleint.perm import Permutation, all_permutations, identity, unrank
-from cycleint.transform import (ClosureTrace, _apply_family, compress_closure,
+from cycleint.transform import (ClosureTrace, compress_closure,
                                 compress_family, compress_perm, fix_closure,
                                 ij_fix_family, ij_fix_perm, is_compressed_family,
                                 is_fixed_family, stabilizer_pullback_check)
@@ -274,6 +274,24 @@ def test_invariance_checks_match_the_family_operators(fam):
         for i, j in itertools.combinations(range(1, n + 1), 2))
 
 
+def apply_family(family, rewrite):
+    """Reference operator step, by the set-map rule: rewrite each member
+    unless the result is a member of the input family, and build a new
+    family. Returns it and the rewrite count."""
+    out = []
+    applications = 0
+    for sigma in family:
+        candidate = rewrite(sigma)
+        if candidate != sigma and candidate not in family:
+            out.append(candidate)
+            applications += 1
+        else:
+            out.append(sigma)
+    result = PermFamily(family.n, out)
+    assert len(result) == len(family)  # rewrites are injective
+    return result, applications
+
+
 def grid_closure(family, pairs, rewrite, operation, potential):
     """Reference closure: apply the operator at every pair of the grid, in
     lexicographic order, until a clean pass."""
@@ -282,11 +300,85 @@ def grid_closure(family, pairs, rewrite, operation, potential):
     while not per_pass or per_pass[-1]:
         count = 0
         for i, j in pairs(range(1, family.n + 1), 2):
-            family, applied = _apply_family(family, lambda s: rewrite(s, i, j))
+            family, applied = apply_family(family, lambda s: rewrite(s, i, j))
             count += applied
         per_pass.append(count)
     return family, ClosureTrace(operation, len(per_pass), sum(per_pass), before,
                                 potential(family), tuple(per_pass))
+
+
+def offered_pair_closure(family, offers, rewrite, operation, potential):
+    """Reference closure over offered pairs that builds a new family at each
+    visited pair: rows i = 1..n, and in a row the partners j that members
+    moving i offer at the row's start, visited while one of them is left."""
+    before = potential(family)
+    rows = range(1, family.n + 1) if family.members else ()
+    per_pass = []
+    while not per_pass or per_pass[-1]:
+        count = 0
+        for i in rows:
+            offering = {}
+            for s in family:
+                if s.image[i - 1] != i:
+                    for j in offers(s, i):
+                        offering.setdefault(j, []).append(s)
+            for j in sorted(offering):
+                if any(s in family for s in offering[j]):
+                    family, applied = apply_family(family, lambda s: rewrite(s, i, j))
+                    count += applied
+        per_pass.append(count)
+    return family, ClosureTrace(operation, len(per_pass), sum(per_pass), before,
+                                potential(family), tuple(per_pass))
+
+
+def fix_potential(family):
+    return sum(len(p.fixed_points()) for p in family)
+
+
+def compress_potential(family):
+    return sum(sum(p.fixed_points()) for p in family)
+
+
+def reference_fix_closure(family):
+    return offered_pair_closure(family, lambda s, i: (s.image[i - 1],), ij_fix_perm,
+                                "fix-closure", fix_potential)
+
+
+def reference_compress_closure(family):
+    return offered_pair_closure(family,
+                                lambda s, i: (j for j in s.fixed_points() if j > i),
+                                compress_perm, "compress-closure", compress_potential)
+
+
+def seeded_families(seed):
+    """Per degree n <= 7: the empty family, random families, maximal ones,
+    halves of those, and the closures' outputs of the maximal ones."""
+    rng = random.Random(seed)
+    for n in range(1, 8):
+        perms = list(all_permutations(n))
+        yield PermFamily(n)
+        for _ in range(3):
+            yield PermFamily(n, rng.sample(perms, rng.randint(1, min(12, len(perms)))))
+            maximal = maximalize(PermFamily(n, [rng.choice(perms)]), rng.randint(1, 3))
+            yield maximal
+            yield PermFamily(n, rng.sample(maximal.members, (len(maximal) + 1) // 2))
+            fixed = reference_fix_closure(maximal)[0]
+            yield fixed
+            yield reference_compress_closure(fixed)[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closures_match_the_per_pair_reference(seed):
+    for fam in seeded_families(seed):
+        assert fix_closure(fam) == reference_fix_closure(fam)
+        assert compress_closure(fam) == reference_compress_closure(fam)
+        if fam.n <= 4:
+            for i, j in itertools.permutations(range(1, fam.n + 1), 2):
+                assert ij_fix_family(fam, i, j) == apply_family(
+                    fam, lambda s: ij_fix_perm(s, i, j))[0]
+                if i < j:
+                    assert compress_family(fam, i, j) == apply_family(
+                        fam, lambda s: compress_perm(s, i, j))[0]
 
 
 @st.composite
