@@ -296,8 +296,9 @@ def is_disjoint_union(family: PermFamily, system: SetSystem) -> CheckResult:
     if any(not member for member in system):
         raise ValueError("decomposition pattern must be nonempty")
     patterns = [_prefix_masks(member, n) for member in system]
-    classes = [sum(1 << r for r, mask in enumerate(_sn_table(n).fixed)
-                   if mask & prefix == wanted) for prefix, wanted in patterns]
+    groups = _sn_table(n).rows_by_fixed.items()
+    classes = [sum(1 << r for mask, rows in groups if mask & prefix == wanted for r in rows)
+               for prefix, wanted in patterns]
 
     def images(rows: int, count: int) -> list[list[int]]:
         bits = [r for r in range(rows.bit_length()) if rows >> r & 1][:count]

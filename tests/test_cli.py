@@ -295,6 +295,17 @@ def test_verify_pipeline_runs(tmp_path):
     assert read_json(out)["passed"] is True
 
 
+def test_verify_pipeline_at_t_0_is_not_a_usage_error(capsys):
+    assert main(["verify", "--suite", "pipeline", "--n", "4", "--t", "0",
+                 "--trials", "30", "--seed", "1"]) == 0
+    # every trial maximalizes to all of S_n, whose star generating set is {∅}
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "SKIP disjoint-union-decomposition" in captured.out
+    assert captured.out.splitlines()[-1] == \
+        "suite pipeline: 8 checks, all passed, 1 not assessed"
+
+
 def test_verify_surgery():
     assert main(["verify", "--suite", "surgery"]) == 0
 

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from cycleint import config
+from cycleint import config, extremal, gensets
 from cycleint.extremal import f_family, stabilizer_family
 from cycleint.gensets import (SetSystem, fix_prefix_family, is_disjoint_union,
-                              is_generating_set, up_permutations_system)
-from cycleint.intersect import (PermFamily,
+                              is_generating_set, reduced_fix_prefix_family,
+                              up_permutations_system)
+from cycleint.intersect import (PermFamily, _sn_table,
                                 build_intersection_graph,
                                 is_family_t_cycle_intersecting, is_maximal,
                                 is_stabilizer_of_points,
@@ -284,3 +285,37 @@ def test_stabilizer_recognition():
     assert stabilized_points(stab({2, 4}, 5)) == (2, 4)
     assert not is_stabilizer_of_points(PermFamily(5, [identity(5)]), 2)
     assert not is_stabilizer_of_points(PermFamily(5), 2)
+
+
+def _row_by_row_family(n, keep, cap=None):
+    """The S_n filter that tests the fixed-point bitmask of every row on its
+    own: the reference for the filter that tests each bitmask once."""
+    return PermFamily(n, (p for p in _sn_table(n, cap).perms if keep(p.fixed_mask())))
+
+
+def _fixed_point_families():
+    families = [stabilizer_family(points, n) for n in range(1, 7) for r in range(n + 1)
+                for points in itertools.combinations(range(1, n + 1), r)]
+    families += [f_family(7, 3, i) for i in range(3)]
+    for n in (5, 6):
+        for r in range(1, n + 1):
+            for pattern in itertools.combinations(range(1, n + 1), r):
+                families += [fix_prefix_family(pattern, n),
+                             reduced_fix_prefix_family(pattern, n)]
+    for n in (6, 7):  # the surgery suite's system
+        families.append(up_permutations_system(
+            SetSystem(n, itertools.combinations(range(1, 6), 4))))
+    return families
+
+
+def test_fixed_point_filters_match_a_row_by_row_reference(monkeypatch):
+    grouped = _fixed_point_families()
+    assert max(map(len, grouped)) > 1
+    for module in (gensets, extremal):
+        monkeypatch.setattr(module, "_fixed_point_family", _row_by_row_family)
+    assert _fixed_point_families() == grouped
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="^degree 7 exceeds enumeration cap 6$"):
+        f_family(7, 3, 0, cap=6)
+    with pytest.raises(ValueError, match="^degree 8 exceeds enumeration cap 7$"):
+        stabilizer_family((1,), 8)

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import random
+import statistics
 import sys
 import time
 
@@ -458,11 +459,7 @@ def _scan_color_sort(adj, scan_order, cand):
         else:
             class_bits.append(1 << v)
             class_members.append([v])
-    order, colors = [], []
-    for number, members in enumerate(class_members, start=1):
-        order.extend(reversed(members))
-        colors.extend([number] * len(members))
-    return order, colors
+    return class_members
 
 
 def test_renumbered_coloring_matches_scan_order_reference():
@@ -471,19 +468,146 @@ def test_renumbered_coloring_matches_scan_order_reference():
         for t in range(1, n + 1):
             graph = build_intersection_graph(n, t)
             order = search._degeneracy_order(graph.adj, None)
-            position = {v: i for i, v in enumerate(order)}
+            numbering = order[::-1]  # renumbered vertex i is order[m-1-i]
+            position = {v: i for i, v in enumerate(numbering)}
             clique_search = search._CliqueSearch(graph, True, None)
-            clique_search.adj = search._renumber(graph.adj, order, None)
+            clique_search.adj = search._renumber(graph.adj, numbering, None)
             if n <= 4:
                 assert all(((clique_search.adj[i] >> j) & 1)
-                           == ((graph.adj[order[i]] >> order[j]) & 1)
+                           == ((graph.adj[numbering[i]] >> numbering[j]) & 1)
                            for i in range(graph.size) for j in range(graph.size))
             full = (1 << graph.size) - 1
             for cand in [full] + [rng.getrandbits(graph.size) for _ in range(10)]:
                 renamed = sum(1 << position[v] for v in range(graph.size) if (cand >> v) & 1)
-                new_order, colors = clique_search._color_sort(renamed)
-                assert ([order[v] for v in new_order], colors) == \
+                order_by_class, ends = clique_search._color_sort(renamed)
+                classes = [order_by_class[a:b] for a, b in zip(ends, ends[1:])]
+                assert [[numbering[v] for v in members] for members in classes] == \
                     _scan_color_sort(graph.adj, order, cand), (n, t, cand)
+
+
+def _bottom_up_renumber(adj, order):
+    """The rows of ``adj`` with vertex ``order[i]`` renamed ``i``, walking
+    each row with ``q & -q``."""
+    position = sorted(range(len(order)), key=order.__getitem__)
+    rows = []
+    for v in order:
+        row, new = adj[v], 0
+        while row:
+            low = row & -row
+            new |= 1 << position[low.bit_length() - 1]
+            row ^= low
+        rows.append(new)
+    return rows
+
+
+class _BottomUpSearch(search._CliqueSearch):
+    """The coloring search with vertex i renumbered as ``order[i]``, the
+    degeneracy order itself, each class scanned from its lowest bit up, and
+    the coloring returned as flat vertex and colour lists: the reference for
+    the kernel that numbers the order from the top, scans from the highest
+    bit down and returns class ends, which must visit the same vertices in
+    the same order."""
+
+    def run(self):
+        self._tick()
+        full = (1 << len(self.adj)) - 1
+        order = search._degeneracy_order(self.adj, self.deadline)
+        self.adj = _bottom_up_renumber(self.adj, order)
+        try:
+            self._search(self._color_node(full, 0))
+        finally:
+            self.cliques = [tuple(order[v] for v in c) for c in self.cliques]
+
+    def _color_node(self, cand, size):
+        order, colors = self._color_sort(cand)
+        for idx in range(len(order) - 1, -1, -1):
+            v = order[idx]
+            yield size + colors[idx], v, cand & self.adj[v], self._color_node
+            cand &= ~(1 << v)
+
+    def _color_sort(self, cand):
+        order, colors = [], []
+        color = 0
+        while cand:
+            color += 1
+            members, q = [], cand
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                members.append(v)
+                cand ^= low
+                q ^= low
+                q ^= q & self.adj[v]
+            order.extend(reversed(members))
+            colors.extend([color] * len(members))
+        return order, colors
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_top_down_coloring_search_matches_bottom_up_reference(monkeypatch, n):
+    monkeypatch.setattr(search, "_coset_group", lambda n, t: None)
+    for t in range(n + 1):
+        graph = build_intersection_graph(n, t)
+        for enumerate_all in (False, True):
+            assert _search_outcome(search._CliqueSearch, graph, enumerate_all) == \
+                _search_outcome(_BottomUpSearch, graph, enumerate_all), (n, t, enumerate_all)
+
+
+@pytest.mark.parametrize("n,t", [(6, 2), (7, 3)])
+def test_top_down_coloring_search_matches_bottom_up_reference_at_a_forced_expiry(
+        monkeypatch, n, t):
+    def tick(self):
+        self.nodes += 1
+        if self.nodes >= k:
+            raise search.BudgetExceeded
+
+    monkeypatch.setattr(search._CliqueSearch, "_tick", tick)
+    graph = build_intersection_graph(n, t, cap=7)
+    for k in (30, 100, 400):
+        for enumerate_all in (False, True):
+            outcomes = []
+            for cls in (search._CliqueSearch, _BottomUpSearch):
+                clique_search = cls(graph, enumerate_all, None)
+                expired = False
+                try:
+                    clique_search.run()
+                except search.BudgetExceeded:
+                    expired = True
+                outcomes.append((expired, clique_search.best, clique_search.cliques,
+                                 clique_search.nodes, clique_search.cutoffs))
+            assert outcomes[0] == outcomes[1], (k, enumerate_all)
+            # size-only (6,2) finishes in fewer than 400 nodes
+            assert outcomes[0][0] or not enumerate_all
+            assert outcomes[0][2]
+
+
+@pytest.mark.parametrize("n,t,cap", [(6, 2, None), (7, 3, 7)])
+def test_candidate_sets_below_the_root_are_narrow(monkeypatch, n, t, cap):
+    # the dense core is numbered lowest, so the candidate sets deep in the
+    # tree are small ints rather than n!-bit ones
+    widths = []
+    color_sort = search._CliqueSearch._color_sort
+
+    def recording(self, cand):
+        widths.append(cand.bit_length())
+        return color_sort(self, cand)
+
+    monkeypatch.setattr(search._CliqueSearch, "_color_sort", recording)
+    result = max_family_search(n, t, mode=ENUMERATE_ALL, cap=cap)
+    assert result.complete and widths[0] == math.factorial(n)
+    assert statistics.median(widths[1:]) <= math.factorial(n) / 4, \
+        statistics.median(widths[1:])
+
+
+def test_pipeline_fails_an_output_that_is_not_t_cycle_intersecting(monkeypatch):
+    # the identity and the reversal (1 4)(2 3) share no cycle
+    bad = PermFamily(4, [identity(4), unrank(4, 23)])
+    monkeypatch.setattr(search, "compress_closure", lambda family: (bad, None))
+    rep = pipeline_roundtrip(4, 1, trials=3, seed=1)
+    (record,) = [r for r in rep.records if r.check == "output-t-cycle-intersecting"]
+    assert record.status == FAIL
+    assert record.witness["output"] == bad.to_json_dict()
+    assert rep.stats["maximality_preserved"] == 0
 
 
 @pytest.mark.parametrize("n,t,cap,nodes,cutoffs,witnesses", [
