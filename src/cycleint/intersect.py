@@ -16,6 +16,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 from collections.abc import Iterable, Iterator
 
 from . import config
@@ -237,7 +238,15 @@ def _neighbourhoods(table: _SnTable, t: int):
 
 def build_intersection_graph(n: int, t: int,
                              cap: int | None = None) -> IntersectionGraph:
-    """Materialize the graph; refuses degrees beyond the enumeration cap."""
+    """Materialize the graph; refuses degrees beyond the enumeration cap and,
+    before S_n is walked, degrees whose n! rows of n! bits alone would need
+    more than physical memory (a cgroup limit is not seen)."""
+    if parse_degree(n) <= config.enumeration_cap(cap):
+        need = math.factorial(n) ** 2 // 8
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(f"degree {n}: the adjacency rows need {need} bytes, "
+                             f"more than the {have} bytes of physical memory")
     table = _sn_table(n, cap)
     adj = tuple(map(_neighbourhoods(table, t), range(len(table.perms))))
     return IntersectionGraph(n, t, table.perms, adj)

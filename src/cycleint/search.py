@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from . import config
 from .extremal import (f_family, f_family_size, quad_inequality_check,
                        stabilizer_family)
-from .gensets import (SetSystem, derive_star_generating_set, fix_prefix_count,
-                      fix_prefix_family, fix_system, generating_set_surgery,
-                      is_disjoint_union, is_generating_set,
-                      is_t_intersecting_system, reduced_fix_prefix_family)
+from .gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
+                      fix_system, generating_set_surgery, is_disjoint_union,
+                      is_generating_set, is_t_intersecting_system,
+                      left_shift_minimals, reduced_fix_prefix_family)
 from .intersect import (IntersectionGraph, PermFamily, _maximalize,
                         _neighbourhoods, _sn_table, build_intersection_graph,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,
@@ -528,12 +528,13 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     Each trial checks size preservation, t-cycle-intersection, fixedness,
     compressedness, that Fix(output) and its left-shift-minimal refinement
     generate the output and are pairwise t-intersecting set systems, that the
-    prefix-fix classes of the refinement partition the output, and, for
-    n >= 2t+1, the stabilizer pullback. The maximality test also decides
-    t-cycle-intersection. The decomposition is not assessed when the star
-    system holds the empty set, as at t = 0, where every output is all of
-    S_n. Failures are recorded with replayable witnesses. At least one trial
-    must run, so that a pass means something was checked.
+    prefix-fix classes of the refinement partition the output, and the
+    stabilizer pullback. The maximality test also decides t-cycle-intersection.
+    A None outcome is not assessed, for the reason in ``why_unassessed``: the
+    star system holds the empty set (as at t = 0, where every output is S_n),
+    or n < 2t+1. A check records the first failing trial's replayable
+    witness, else not assessed, else pass. At least one trial must run, so
+    that a pass means something was checked.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -542,16 +543,10 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     rng = random.Random(seed)
     table = _sn_table(n)  # rank order, so a draw is unrank(n, randrange(n!))
     neighbours = _neighbourhoods(table, t)  # one index for every trial
-    checks = [
-        "size-preserved-by-closures",
-        "output-t-cycle-intersecting",
-        "output-fixed",
-        "output-compressed",
-        "fix-system-is-generating-set",
-        "generating-systems-pairwise-t-intersecting",
-        "disjoint-union-decomposition",
-        "stabilizer-pullback",
-    ]
+    why_unassessed = {
+        "disjoint-union-decomposition": "star generating set contains the empty set",
+        "stabilizer-pullback": f"n={n} < 2t+1={2 * t + 1}",
+    }
     failures: dict[str, dict] = {}
     unassessed: set[str] = set()
     maximality_preserved = 0
@@ -562,7 +557,7 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
         fixed, _ = fix_closure(start)
         compressed, _ = compress_closure(fixed)
         fixsys = fix_system(compressed)
-        star = derive_star_generating_set(compressed)
+        star = left_shift_minimals(fixsys)
         try:  # _maximalize refuses a family that is not t-cycle-intersecting
             maximal = len(_maximalize(compressed, t, neighbours)) == len(compressed)
             intersecting = True
@@ -579,13 +574,13 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
             "generating-systems-pairwise-t-intersecting":
                 is_t_intersecting_system(fixsys, t)
                 and is_t_intersecting_system(star, t),
-            # None: not assessed, as in gensets.disjoint_union_check
             "disjoint-union-decomposition":
                 None if any(not s for s in star)
                 else is_generating_set(star, compressed)
                 and bool(is_disjoint_union(compressed, star)),
             "stabilizer-pullback":
-                stabilizer_pullback_check(start, compressed, t),
+                None if n < 2 * t + 1
+                else stabilizer_pullback_check(start, compressed, t),
         }
         if is_stabilizer_of_points(compressed, t):
             stabilizer_outputs += 1
@@ -598,12 +593,9 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
                                   "seed_perm": list(seed_perm.image),
                                   "output": compressed.to_json_dict()}
     params = {"n": n, "t": t, "trials": trials, "seed": seed}
-    for name in checks:
-        if name == "stabilizer-pullback" and n < 2 * t + 1:
-            rep.add(name, params, HYPOTHESIS_NOT_MET, detail=f"n={n} < 2t+1={2 * t + 1}")
-        elif name in unassessed and name not in failures:
-            rep.add(name, params, HYPOTHESIS_NOT_MET,
-                    detail="star generating set contains the empty set")
+    for name in outcome:  # every trial checks the same names in this order
+        if name in unassessed and name not in failures:
+            rep.add(name, params, HYPOTHESIS_NOT_MET, detail=why_unassessed[name])
         else:
             rep.add_bool(name, params, name not in failures, witness=failures.get(name))
     rep.stats["maximality_preserved"] = maximality_preserved

@@ -215,6 +215,22 @@ def test_search_exports_the_graph_it_searched(tmp_path, monkeypatch, capsys):
     assert not edges.exists()
 
 
+def test_search_refuses_rows_beyond_physical_memory(monkeypatch, capsys):
+    from cycleint import intersect
+
+    def refuse(n):
+        raise AssertionError(f"walked S_{n}")
+
+    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "10")
+    monkeypatch.setenv(config.SEARCH_CAP_ENV, "10")
+    monkeypatch.setattr(intersect, "all_permutations", refuse)
+    assert main(["search", "--n", "10", "--t", "1"]) == 2
+    need = math.factorial(10) ** 2 // 8  # about 1.6 TB of rows
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: degree 10: the adjacency rows need {need} bytes, ")
+    assert err.endswith(" bytes of physical memory\n")
+
+
 def test_search_canonical_witnesses(tmp_path):
     out = tmp_path / "result.json"
     code = main(["search", "--n", "4", "--t", "1", "--enumerate-all",

@@ -58,3 +58,20 @@ def test_every_export_has_a_caller_or_a_reason():
     assert not uncalled, f"exported with no caller outside tests: {uncalled}"
     assert not set(KEPT) - set(exported), "KEPT names a name that is not exported"
     assert not set(KEPT) & used, "KEPT names a name that now has a caller"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # ``__init__`` imports the exports, so only the other modules are read
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.name}:{node.lineno} {name}" for name in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if name not in read]
+    assert not unused, f"imported and never used: {unused}"
