@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import report
-from .intersect import (PermFamily, _fixed_point_family, _sn_table,
-                        is_family_t_cycle_intersecting, is_maximal)
+from .intersect import (PermFamily, _fixed_point_family, _maximalize,
+                        _neighbour_index, _sn_table)
 from .perm import parse_degree, parse_points, point_mask, rank
 from .report import CheckResult
 from .transform import is_compressed_family, is_fixed_family
@@ -341,9 +341,12 @@ def disjoint_union_check(family: PermFamily, system: SetSystem, t: int) -> Check
         return report.hypothesis_not_met(detail="family is not fixed")
     if not is_compressed_family(family):
         return report.hypothesis_not_met(detail="family is not compressed")
-    if not is_family_t_cycle_intersecting(family, t):
+    neighbours = _neighbour_index(family.n, t)
+    try:  # _maximalize refuses a family that is not t-cycle-intersecting
+        maximal = len(_maximalize(family, t, neighbours)) == len(family)
+    except ValueError:
         return report.hypothesis_not_met(detail=f"family is not {t}-cycle-intersecting")
-    if not is_maximal(family, t):
+    if not maximal:
         return report.hypothesis_not_met(detail="family is not maximal")
     return is_disjoint_union(family, system)
 

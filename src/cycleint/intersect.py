@@ -236,17 +236,57 @@ def _neighbourhoods(table: _SnTable, t: int):
     return neighbours
 
 
+# cgroup v2, then v1; a container sees its own cgroup's files at the mount
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max",
+                  "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def _memory_limit() -> int:
+    """Bytes this process may use: the smaller of physical memory and the
+    cgroup memory limit, where one of ``_CGROUP_LIMITS`` can be read."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for path in _CGROUP_LIMITS:
+        try:
+            with open(path) as file:
+                value = file.read().strip()
+        except OSError:
+            continue
+        if value.isdigit():  # v2 writes "max" where there is no limit
+            limit = min(limit, int(value))
+    return limit
+
+
+def _cycle_count(n: int) -> int:
+    """The number of distinct cycles, fixed points included, on [n]."""
+    return sum(math.comb(n, k) * math.factorial(k - 1) for k in range(1, n + 1))
+
+
+def _refuse_beyond_memory(n: int, cap: int | None, what: str, bitsets) -> None:
+    """Before S_n is walked, refuse ``bitsets(n)`` bitsets of n! bits that
+    would not fit in ``_memory_limit()``; a degree above the enumeration cap
+    is left to the table, so that the cap error is the one reported."""
+    if parse_degree(n) > config.enumeration_cap(cap):
+        return
+    need = bitsets(n) * math.factorial(n) // 8
+    have = _memory_limit()
+    if need > have:
+        raise ValueError(f"degree {n}: {what} need {need} bytes, more than the "
+                         f"{have} bytes this process may use")
+
+
+def _neighbour_index(n: int, t: int):
+    """``_neighbourhoods`` of the table of S_n, behind the memory check for
+    its per-cycle bitsets (about 5.7 GB at n = 9)."""
+    _refuse_beyond_memory(n, None, "the per-cycle bitsets", _cycle_count)
+    return _neighbourhoods(_sn_table(n), t)
+
+
 def build_intersection_graph(n: int, t: int,
                              cap: int | None = None) -> IntersectionGraph:
     """Materialize the graph; refuses degrees beyond the enumeration cap and,
-    before S_n is walked, degrees whose n! rows of n! bits alone would need
-    more than physical memory (a cgroup limit is not seen)."""
-    if parse_degree(n) <= config.enumeration_cap(cap):
-        need = math.factorial(n) ** 2 // 8
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ValueError(f"degree {n}: the adjacency rows need {need} bytes, "
-                             f"more than the {have} bytes of physical memory")
+    before S_n is walked, degrees whose n! rows of n! bits alone would not
+    fit in memory."""
+    _refuse_beyond_memory(n, cap, "the adjacency rows", math.factorial)
     table = _sn_table(n, cap)
     adj = tuple(map(_neighbourhoods(table, t), range(len(table.perms))))
     return IntersectionGraph(n, t, table.perms, adj)
@@ -264,11 +304,11 @@ def maximalize(family: PermFamily, t: int) -> PermFamily:
     lexicographic pass: the kept family only grows, so a permutation passed
     over stays incompatible.
     """
-    return _maximalize(family, t, _neighbourhoods(_sn_table(family.n), t))
+    return _maximalize(family, t, _neighbour_index(family.n, t))
 
 
 def _maximalize(family: PermFamily, t: int, neighbours) -> PermFamily:
-    """:func:`maximalize` on ``_neighbourhoods(table, t)`` of the family's
+    """:func:`maximalize` on ``_neighbour_index(n, t)`` of the family's
     degree, which a caller with many families of one degree builds once."""
     table = _sn_table(family.n)
     ranks = [rank(p) for p in family]

@@ -8,12 +8,12 @@ graph; they then bound every clique by their number, and each node branches
 on the coset with the fewest live candidates. Those per-coset counts travel
 down the tree: each child copies its parent's and subtracts the candidates
 its step removes, so no node recounts a coset. Elsewhere vertices are
-renumbered in a degeneracy order reversed, so the dense core, removed last,
-is numbered lowest and candidate sets below the root are narrow ints; a
-greedy coloring of each candidate set, one class at a time on bitsets from
-the highest vertex down (BBMC), gives the bound. Enumerate-all
-pruning keeps branches that can tie the incumbent: the witness list is
-complete and duplicate-free.
+renumbered by descending degree, ties by ascending rank (Welsh and Powell),
+so the dense vertices are numbered lowest and candidate sets below the root
+are narrow ints; a greedy coloring of each candidate set, one class at a
+time on bitsets from the highest vertex down (BBMC), gives the bound.
+Enumerate-all pruning keeps branches that can tie the incumbent: the witness
+list is complete and duplicate-free.
 
 The naive oracle enumerates every t-cycle-intersecting family by direct
 recursion over lexicographically ordered permutations with no graph, bitsets,
@@ -38,7 +38,7 @@ from .gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
                       is_generating_set, is_t_intersecting_system,
                       left_shift_minimals, reduced_fix_prefix_family)
 from .intersect import (IntersectionGraph, PermFamily, _maximalize,
-                        _neighbourhoods, _sn_table, build_intersection_graph,
+                        _neighbour_index, _sn_table, build_intersection_graph,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,
                         stabilized_points)
 from .perm import all_permutations, parse_degree
@@ -83,42 +83,6 @@ class BudgetExceeded(Exception):
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetExceeded
-
-
-def _degeneracy_order(adj: tuple[int, ...], deadline: float | None) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex; ties broken by rank.
-
-    This is Matula and Beck's smallest-last order with a bucket queue: one
-    bitset of vertices per degree and a minimum-degree pointer, which can fall
-    by at most one per removal, so the lowest set bit of the lowest nonempty
-    bucket is the next vertex. The deadline is read once per vertex.
-    """
-    degree = [row.bit_count() for row in adj]
-    buckets = [0] * (max(degree, default=0) + 1)
-    for v, d in enumerate(degree):
-        buckets[d] |= 1 << v
-    remaining = (1 << len(adj)) - 1
-    order = []
-    low = 0
-    while remaining:
-        _check_deadline(deadline)
-        while not buckets[low]:
-            low += 1
-        v = (buckets[low] & -buckets[low]).bit_length() - 1
-        buckets[low] ^= 1 << v
-        remaining ^= 1 << v
-        order.append(v)
-        row = adj[v] & remaining
-        while row:  # from the top bit, as in _renumber
-            u = row.bit_length() - 1
-            bit = 1 << u
-            row ^= bit
-            d = degree[u]
-            buckets[d] ^= bit
-            buckets[d - 1] |= bit
-            degree[u] = d - 1
-        low = max(low - 1, 0)
-    return order
 
 
 def _renumber(adj: tuple[int, ...], order: list[int],
@@ -189,7 +153,7 @@ class _CliqueSearch:
     """Exact maximum clique search: one depth-first loop over an explicit
     stack, with the bound chosen at the root: ``_coset_node`` where
     ``_coset_classes`` certifies a colouring, else ``_color_node`` over the
-    vertices renumbered in degeneracy order."""
+    vertices renumbered by descending degree."""
 
     def __init__(self, graph: IntersectionGraph, enumerate_all: bool,
                  deadline: float | None):
@@ -205,7 +169,7 @@ class _CliqueSearch:
 
     def run(self) -> None:
         # the root is node 1, and it reads the clock before any coset or
-        # ordering work
+        # renumbering work
         self._tick()
         full = (1 << len(self.adj)) - 1
         found = _coset_classes(self.graph)
@@ -218,12 +182,13 @@ class _CliqueSearch:
             counts = bytearray(len(members) for _, members in classes)
             self._search(self._coset_node(classes, counts, full, full, 0))
             return
-        # new vertex i is old vertex order[i], the degeneracy order reversed:
-        # the dense core, removed last, gets the low numbers, so candidate
-        # sets below the root are narrow ints, and a top-down scan visits
-        # vertices in degeneracy order
-        order = _degeneracy_order(self.adj, self.deadline)[::-1]
-        self.adj = _renumber(self.adj, order, self.deadline)
+        # new vertex i is old vertex order[i], by descending degree and then
+        # ascending rank (Welsh and Powell): the dense vertices get the low
+        # numbers, so candidate sets below the root are narrow ints, and a
+        # top-down scan visits vertices from the sparsest up
+        adj = self.adj
+        order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+        self.adj = _renumber(adj, order, self.deadline)
         try:
             self._search(self._color_node(full, 0))
         finally:  # an expired search still returns its incumbents
@@ -316,8 +281,8 @@ class _CliqueSearch:
     def _color_node(self, cand: int, size: int):
         """Branches on the classes of ``_color_sort(cand)`` from the last
         back, each member bounded by the clique so far plus its colour, and
-        within a class in degeneracy order; a vertex leaves the candidates
-        once its branch is done."""
+        within a class from the highest vertex down; a vertex leaves the
+        candidates once its branch is done."""
         adj = self.adj
         order, ends = self._color_sort(cand)
         for color in range(len(ends) - 1, 0, -1):
@@ -327,8 +292,8 @@ class _CliqueSearch:
                 cand ^= 1 << v
 
     def _color_sort(self, cand: int) -> tuple[list[int], list[int]]:
-        """Greedy coloring in degeneracy order, from the highest vertex down,
-        one class at a time: first-fit puts in each class the greedy
+        """Greedy coloring from the highest vertex down, that is by ascending
+        degree, one class at a time: first-fit puts in each class the greedy
         independent set, in that order, of the vertices not yet colored.
         Returns the vertices class by class, in the order they were colored,
         and ``ends``, where colour k is ``order[ends[k-1]:ends[k]]``. One flat
@@ -541,8 +506,8 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     _check_t(t)
     rep = VerificationReport("pipeline")
     rng = random.Random(seed)
+    neighbours = _neighbour_index(n, t)  # one index for every trial
     table = _sn_table(n)  # rank order, so a draw is unrank(n, randrange(n!))
-    neighbours = _neighbourhoods(table, t)  # one index for every trial
     why_unassessed = {
         "disjoint-union-decomposition": "star generating set contains the empty set",
         "stabilizer-pullback": f"n={n} < 2t+1={2 * t + 1}",

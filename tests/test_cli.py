@@ -228,7 +228,48 @@ def test_search_refuses_rows_beyond_physical_memory(monkeypatch, capsys):
     need = math.factorial(10) ** 2 // 8  # about 1.6 TB of rows
     err = capsys.readouterr().err
     assert err.startswith(f"error: degree 10: the adjacency rows need {need} bytes, ")
-    assert err.endswith(" bytes of physical memory\n")
+    assert err.endswith(" bytes this process may use\n")
+
+
+def _refuse_to_build(monkeypatch):
+    from cycleint import intersect
+
+    def refuse(*args):
+        raise AssertionError("built S_n or its bitsets past the memory check")
+
+    for name in ("_build_sn_table", "_neighbourhoods"):
+        monkeypatch.setattr(intersect, name, refuse)
+
+
+def test_search_refuses_rows_beyond_the_memory_limit(monkeypatch, capsys):
+    # the limit reader sees the smaller of physical memory and a cgroup limit
+    from cycleint import intersect
+
+    need = math.factorial(5) ** 2 // 8
+    monkeypatch.setattr(intersect, "_memory_limit", lambda: need - 1)
+    _refuse_to_build(monkeypatch)
+    assert main(["search", "--n", "5", "--t", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: degree 5: the adjacency rows need {need} bytes, "
+        f"more than the {need - 1} bytes this process may use\n")
+
+
+def test_pipeline_refuses_an_index_beyond_the_memory_limit(monkeypatch, capsys):
+    # one n!-bit bitset per distinct cycle of S_n: 5 + 10 + 20 + 30 + 24 at n = 5
+    from cycleint import intersect
+
+    need = 89 * math.factorial(5) // 8
+    monkeypatch.setattr(intersect, "_memory_limit", lambda: need - 1)
+    _refuse_to_build(monkeypatch)
+    argv = ["verify", "--suite", "pipeline", "--n", "5", "--t", "2", "--trials", "1",
+            "--seed", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: degree 5: the per-cycle bitsets need {need} bytes, "
+        f"more than the {need - 1} bytes this process may use\n")
+    monkeypatch.undo()  # builds allowed again, and exactly enough memory
+    monkeypatch.setattr(intersect, "_memory_limit", lambda: need)
+    assert main(argv) == 0
 
 
 def test_search_canonical_witnesses(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleint import report
+from cycleint import config, report
 from cycleint.gensets import (SetSystem, certify_generating_set,
                               check_pair_overlap_t_plus_one,
                               derive_star_generating_set, disjoint_union_check,
@@ -293,6 +293,22 @@ def test_disjoint_union_hypothesis_gating():
     good = stab({1, 2}, 5)
     lopsided = SetSystem(5, [(1, 2), (1, 2, 3)])
     assert disjoint_union_check(good, lopsided, t=2).status == HYPOTHESIS_NOT_MET
+
+
+def test_disjoint_union_gates_on_one_maximality_verdict(monkeypatch):
+    def check(images, t):
+        fam = PermFamily(len(images[0]), [Permutation(p) for p in images])
+        return disjoint_union_check(fam, derive_star_generating_set(fam), t).detail
+
+    # fixed, compressed and generated by their star systems
+    pair = [(1, 2, 3), (1, 3, 2)]
+    assert check(pair, 2) == "family is not 2-cycle-intersecting"
+    assert check(pair + [(3, 2, 1)], 1) == "family is not 1-cycle-intersecting"
+    assert check([(1, 2, 3, 4), (1, 2, 4, 3)], 1) == "family is not maximal"
+    # a degree above the enumeration cap is an error, not an unmet hypothesis
+    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "2")
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        check([(1, 2, 3)], 1)
 
 
 def test_is_disjoint_union_failure_carries_witness():

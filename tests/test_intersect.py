@@ -1,10 +1,11 @@
 import itertools
 import math
+import os
 import random
 
 import pytest
 
-from cycleint import config, extremal, gensets
+from cycleint import config, extremal, gensets, intersect
 from cycleint.extremal import f_family, stabilizer_family
 from cycleint.gensets import (SetSystem, fix_prefix_family, is_disjoint_union,
                               is_generating_set, reduced_fix_prefix_family,
@@ -319,3 +320,17 @@ def test_fixed_point_filters_match_a_row_by_row_reference(monkeypatch):
         f_family(7, 3, 0, cap=6)
     with pytest.raises(ValueError, match="^degree 8 exceeds enumeration cap 7$"):
         stabilizer_family((1,), 8)
+
+
+def test_memory_limit_reads_the_cgroup_limit_where_there_is_one(monkeypatch, tmp_path):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(intersect, "_CGROUP_LIMITS", (str(v2), str(v1)))
+    assert intersect._memory_limit() == physical  # neither file exists
+    v2.write_text("max\n")  # no limit, in each version's own words
+    v1.write_text("9223372036854771712\n")
+    assert intersect._memory_limit() == physical
+    v1.write_text("5000\n")
+    assert intersect._memory_limit() == 5000
+    v2.write_text("2000\n")
+    assert intersect._memory_limit() == 2000
