@@ -17,7 +17,7 @@ from .extremal import compare_extremal, quad_inequality_check
 from .gensets import (certify_generating_set, check_pair_overlap_t_plus_one,
                       disjoint_union_check, fix_system, is_generating_set,
                       is_t_intersecting_system)
-from .intersect import PermFamily, maximalize
+from .intersect import PermFamily, _check_t, maximalize
 from .report import VerificationReport
 from .transform import compress_closure, fix_closure
 
@@ -108,8 +108,10 @@ def _cmd_gensets(args) -> int:
             raise ValueError(f"unknown check {name!r}; choose from {_GENSET_CHECKS}")
     rep = VerificationReport("gensets")
     params = {"n": family.n, "t": args.t, "family_size": len(family)}
-    if wanted and args.t is None:
-        raise ValueError("--check requires --t")
+    if wanted:
+        if args.t is None:
+            raise ValueError("--check requires --t")
+        _check_t(args.t)
     for name in wanted:
         if name == "generating-set":
             rep.add_bool(name, params, is_generating_set(cert.system, family))

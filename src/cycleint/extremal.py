@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from . import config
 from .gensets import _pattern_count, up_permutations
 from .intersect import PermFamily, _fixed_point_family
 from .perm import parse_points, point_mask
+from .report import _FrozenRecord
 
 
 def stabilizer_family(points, n: int, cap: int | None = None) -> PermFamily:
@@ -63,15 +63,14 @@ def f1_closed_form(t: int) -> int:
     return math.factorial(t - 2) * (t * t - 3)
 
 
-@dataclass(frozen=True)
-class ExtremalComparison:
+class ExtremalComparison(_FrozenRecord):
     """Exact sizes of the requested families with ordering verdicts."""
 
-    n: int
-    t: int
-    sizes: dict
-    verdicts: tuple[str, ...]
-    cross_checked: bool
+    __slots__ = ("n", "t", "sizes", "verdicts", "cross_checked")
+
+    def __init__(self, n: int, t: int, sizes: dict, verdicts: tuple[str, ...],
+                 cross_checked: bool):
+        self._fill(n, t, sizes, verdicts, cross_checked)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "t": self.t, "sizes": dict(self.sizes),
@@ -135,21 +134,21 @@ def quad_value(n: int, t: int, delta: int) -> int:
     return delta * delta + delta * (2 + 2 * t - 2 * n) + 4 * t - 4
 
 
-@dataclass(frozen=True)
-class QuadCheck:
+class QuadCheck(_FrozenRecord):
     """Evaluation of the quadratic over the admissible gap values.
 
     Only even gaps arise in the middle-class surgery, so those carry the
-    assertion; odd gaps are reported for information only.
+    assertion; odd gaps are reported for information only. Each row of
+    ``even`` and ``odd`` is (delta, value, holds); ``required`` says whether
+    the assertion is active, which it is iff n >= 2t+1.
     """
 
-    n: int
-    t: int
-    even: tuple[tuple[int, int, bool], ...]   # (delta, value, holds)
-    odd: tuple[tuple[int, int, bool], ...]
-    holds_for_all_even: bool
-    required: bool                            # assertion active iff n >= 2t+1
-    ok: bool
+    __slots__ = ("n", "t", "even", "odd", "holds_for_all_even", "required", "ok")
+
+    def __init__(self, n: int, t: int, even: tuple[tuple[int, int, bool], ...],
+                 odd: tuple[tuple[int, int, bool], ...], holds_for_all_even: bool,
+                 required: bool, ok: bool):
+        self._fill(n, t, even, odd, holds_for_all_even, required, ok)
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,14 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import report
 from .intersect import (PermFamily, _fixed_point_family, _maximalize,
                         _neighbour_index, _sn_table)
 from .perm import parse_degree, parse_points, point_mask, rank
-from .report import CheckResult
+from .report import CheckResult, _FrozenRecord, _Record
 from .transform import is_compressed_family, is_fixed_family
 
 
@@ -183,15 +181,16 @@ def derive_star_generating_set(family: PermFamily) -> SetSystem:
     return left_shift_minimals(fix_system(family))
 
 
-@dataclass(frozen=True)
-class GeneratingSetCertificate:
+class GeneratingSetCertificate(_FrozenRecord):
     """Shape summary of a derived generating set."""
 
-    system: SetSystem
-    family_size: int
-    max_element: int
-    is_left_compressed: bool
-    is_inclusion_minimal: bool
+    __slots__ = ("system", "family_size", "max_element", "is_left_compressed",
+                 "is_inclusion_minimal")
+
+    def __init__(self, system: SetSystem, family_size: int, max_element: int,
+                 is_left_compressed: bool, is_inclusion_minimal: bool):
+        self._fill(system, family_size, max_element, is_left_compressed,
+                   is_inclusion_minimal)
 
     def to_json_dict(self) -> dict:
         return {
@@ -383,15 +382,23 @@ def check_pair_overlap_t_plus_one(system: SetSystem, t: int) -> CheckResult:
 # Partition by largest element and the generating-set surgery.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TopPartition:
-    """Split of a system by whether a member attains the overall largest element."""
+class TopPartition(_FrozenRecord):
+    """Split of a system by whether a member attains the overall largest element.
 
-    delta: int                       # overall largest element minus t
-    top: SetSystem                   # members attaining the largest element
-    rest: SetSystem
-    size_classes: dict[int, SetSystem] = field(compare=False, default_factory=dict)
-    in_open_range: bool = True       # nonempty classes have t < size < t + delta
+    ``delta`` is the overall largest element minus t, ``top`` holds the
+    members attaining it and ``size_classes`` splits those by cardinality;
+    ``in_open_range`` says that every class has t < size < t + delta.
+    Equality and hashing ignore ``size_classes``, which ``top`` determines.
+    """
+
+    __slots__ = ("delta", "top", "rest", "size_classes", "in_open_range")
+    _compared = ("delta", "top", "rest", "in_open_range")
+
+    def __init__(self, delta: int, top: SetSystem, rest: SetSystem,
+                 size_classes: dict[int, SetSystem] | None = None,
+                 in_open_range: bool = True):
+        self._fill(delta, top, rest, {} if size_classes is None else size_classes,
+                   in_open_range)
 
 
 def partition_by_max_element(system: SetSystem, t: int) -> TopPartition:
@@ -417,8 +424,7 @@ def partition_by_max_element(system: SetSystem, t: int) -> TopPartition:
                         in_open_range=in_range)
 
 
-@dataclass
-class SurgeryReport:
+class SurgeryReport(_Record):
     """Outcome of one surgery attempt on a size class of the top partition.
 
     Case 1 (paired classes, i != 2t + delta - i) removes the class of size i
@@ -428,20 +434,19 @@ class SurgeryReport:
     deleting the largest element, producing a single candidate.
     """
 
-    case: int
-    n: int
-    t: int
-    delta: int
-    size_class: int
-    base_size: int
-    candidates: dict[str, SetSystem]
-    candidate_t_intersecting: dict[str, bool]
-    candidate_sizes: dict[str, int]
-    best_size: int
-    strict_gain: bool
-    pivot: int | None = None
-    survivors: SetSystem | None = None
-    pigeonhole_ok: bool | None = None
+    __slots__ = ("case", "n", "t", "delta", "size_class", "base_size", "candidates",
+                 "candidate_t_intersecting", "candidate_sizes", "best_size",
+                 "strict_gain", "pivot", "survivors", "pigeonhole_ok")
+
+    def __init__(self, case: int, n: int, t: int, delta: int, size_class: int,
+                 base_size: int, candidates: dict[str, SetSystem],
+                 candidate_t_intersecting: dict[str, bool],
+                 candidate_sizes: dict[str, int], best_size: int, strict_gain: bool,
+                 pivot: int | None = None, survivors: SetSystem | None = None,
+                 pigeonhole_ok: bool | None = None):
+        self._fill(case, n, t, delta, size_class, base_size, candidates,
+                   candidate_t_intersecting, candidate_sizes, best_size,
+                   strict_gain, pivot, survivors, pigeonhole_ok)
 
 
 def _drop_top(system: SetSystem, top: int) -> SetSystem:
@@ -486,8 +491,9 @@ def generating_set_surgery(system: SetSystem, t: int,
     frequency = {a: sum(1 for s in reduced if a not in s) for a in universe}
     pivot = max(universe, key=lambda a: (frequency[a], -a))
     survivors = SetSystem(system.n, (s for s in reduced if pivot not in s))
-    # Pigeonhole guarantee: |T'| >= |R_i| * (delta/2) / (t + delta - 1).
-    pigeon_ok = len(survivors) >= Fraction(len(r_i) * delta, 2 * (s_plus - 1))
+    # Pigeonhole guarantee: |T'| >= |R_i| * (delta/2) / (t + delta - 1), in
+    # integers; the divisor is i + delta/2 - 1 >= 1, as i >= 1 and delta >= 2.
+    pigeon_ok = 2 * (s_plus - 1) * len(survivors) >= len(r_i) * delta
     f_prime = system.difference(r_i).union(survivors)
     size = len(up_permutations_system(f_prime))
     return SurgeryReport(

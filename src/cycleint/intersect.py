@@ -229,7 +229,7 @@ def _neighbourhoods(table: _SnTable, t: int):
 
     def neighbours(r: int) -> int:
         row = 0
-        for subset in itertools.combinations(table.cycle_ids[r], max(t, 0)):
+        for subset in itertools.combinations(table.cycle_ids[r], t):
             row |= functools.reduce(operator.and_, (having[c] for c in subset), full)
         return row & ~(1 << r)
 
@@ -274,10 +274,16 @@ def _refuse_beyond_memory(n: int, cap: int | None, what: str, bitsets) -> None:
                          f"{have} bytes this process may use")
 
 
+def _check_t(t: int) -> None:
+    if t < 0:
+        raise ValueError(f"t must be at least 0, got {t}")
+
+
 def _neighbour_index(n: int, t: int):
     """``_neighbourhoods`` of the table of S_n, behind the memory check for
     its per-cycle bitsets (about 5.7 GB at n = 9)."""
     _refuse_beyond_memory(n, None, "the per-cycle bitsets", _cycle_count)
+    _check_t(t)
     return _neighbourhoods(_sn_table(n), t)
 
 
@@ -287,6 +293,7 @@ def build_intersection_graph(n: int, t: int,
     before S_n is walked, degrees whose n! rows of n! bits alone would not
     fit in memory."""
     _refuse_beyond_memory(n, cap, "the adjacency rows", math.factorial)
+    _check_t(t)
     table = _sn_table(n, cap)
     adj = tuple(map(_neighbourhoods(table, t), range(len(table.perms))))
     return IntersectionGraph(n, t, table.perms, adj)

@@ -4,11 +4,15 @@ Checks that carry hypotheses distinguish "the hypothesis does not hold on
 this input" from "the hypothesis holds and the conclusion fails"; the latter
 would falsify a theorem, the former is merely an out-of-scope input. Every
 failing record carries a machine-replayable witness.
+
+The package's result records are plain ``__slots__`` classes on the two
+bases here, not dataclasses: ``import dataclasses`` loads ``inspect`` and
+its parsers, and building each dataclass compiles code, which together took
+about a third of the start-up of every ``cycleint`` process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 PASS = "pass"
@@ -16,13 +20,53 @@ FAIL = "fail"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class _Record:
+    """A record lists its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` sets them with ``_fill``. Two records of one class are
+    equal when their ``_compared`` fields are, by default all of them."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared or self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are read-only after ``__init__``; hashable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class CheckResult(_FrozenRecord):
     """Outcome of a single hypothesis-carrying check; truthy iff it passed."""
 
-    status: str
-    witness: Any = None
-    detail: str = ""
+    __slots__ = ("status", "witness", "detail")
+
+    def __init__(self, status: str, witness: Any = None, detail: str = ""):
+        self._fill(status, witness, detail)
 
     def __bool__(self) -> bool:
         return self.status == PASS
@@ -40,13 +84,12 @@ def hypothesis_not_met(witness: Any = None, detail: str = "") -> CheckResult:
     return CheckResult(HYPOTHESIS_NOT_MET, witness, detail)
 
 
-@dataclass
-class CheckRecord:
-    check: str
-    params: dict
-    status: str
-    witness: Any = None
-    detail: str = ""
+class CheckRecord(_Record):
+    __slots__ = ("check", "params", "status", "witness", "detail")
+
+    def __init__(self, check: str, params: dict, status: str,
+                 witness: Any = None, detail: str = ""):
+        self._fill(check, params, status, witness, detail)
 
     def to_json_dict(self) -> dict:
         d = {"check": self.check, "params": self.params, "status": self.status}
@@ -57,13 +100,15 @@ class CheckRecord:
         return d
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Per-check pass/fail records for one verification suite."""
 
-    suite: str
-    records: list[CheckRecord] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    __slots__ = ("suite", "records", "stats")
+
+    def __init__(self, suite: str, records: list[CheckRecord] | None = None,
+                 stats: dict | None = None):
+        self._fill(suite, [] if records is None else records,
+                   {} if stats is None else stats)
 
     def add(self, check: str, params: dict, status: str,
             witness: Any = None, detail: str = "") -> CheckRecord:

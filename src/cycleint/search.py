@@ -28,7 +28,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 
 from . import config
 from .extremal import (f_family, f_family_size, quad_inequality_check,
@@ -37,12 +36,12 @@ from .gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
                       fix_system, generating_set_surgery, is_disjoint_union,
                       is_generating_set, is_t_intersecting_system,
                       left_shift_minimals, reduced_fix_prefix_family)
-from .intersect import (IntersectionGraph, PermFamily, _maximalize,
+from .intersect import (IntersectionGraph, PermFamily, _check_t, _maximalize,
                         _neighbour_index, _sn_table, build_intersection_graph,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,
                         stabilized_points)
 from .perm import all_permutations, parse_degree
-from .report import HYPOTHESIS_NOT_MET, PASS, VerificationReport
+from .report import HYPOTHESIS_NOT_MET, PASS, VerificationReport, _Record
 from .transform import (compress_closure, fix_closure, is_compressed_family,
                         is_fixed_family, stabilizer_pullback_check)
 
@@ -50,20 +49,17 @@ SIZE_ONLY = "size-only"
 ENUMERATE_ALL = "enumerate-all"
 
 
-@dataclass
-class CliqueSearchResult:
+class CliqueSearchResult(_Record):
     """Exact maximum-family answer with witnesses and search statistics."""
 
-    n: int
-    t: int
-    mode: str
-    max_size: int
-    witnesses: tuple[PermFamily, ...]
-    complete: bool
-    nodes: int = 0
-    cutoffs: int = 0
-    elapsed: float = 0.0
-    certificate: dict | None = None
+    __slots__ = ("n", "t", "mode", "max_size", "witnesses", "complete", "nodes",
+                 "cutoffs", "elapsed", "certificate")
+
+    def __init__(self, n: int, t: int, mode: str, max_size: int,
+                 witnesses: tuple[PermFamily, ...], complete: bool, nodes: int = 0,
+                 cutoffs: int = 0, elapsed: float = 0.0, certificate: dict | None = None):
+        self._fill(n, t, mode, max_size, witnesses, complete, nodes, cutoffs,
+                   elapsed, certificate)
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,10 +181,13 @@ class _CliqueSearch:
         # new vertex i is old vertex order[i], by descending degree and then
         # ascending rank (Welsh and Powell): the dense vertices get the low
         # numbers, so candidate sets below the root are narrow ints, and a
-        # top-down scan visits vertices from the sparsest up
+        # top-down scan visits vertices from the sparsest up. Where every
+        # degree is equal, as on the complete t = 0 graph, the order is the
+        # identity and the rows are kept as they are
         adj = self.adj
         order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
-        self.adj = _renumber(adj, order, self.deadline)
+        if order != list(range(len(adj))):
+            self.adj = _renumber(adj, order, self.deadline)
         try:
             self._search(self._color_node(full, 0))
         finally:  # an expired search still returns its incumbents
@@ -320,11 +319,6 @@ def _check_budget(time_budget: float | None) -> None:
         raise ValueError(f"time budget must be finite and >= 0, got {time_budget!r}")
 
 
-def _check_t(t: int) -> None:
-    if t < 0:
-        raise ValueError(f"t must be at least 0, got {t}")
-
-
 def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
                       time_budget: float | None = None,
                       cap: int | None = None,
@@ -346,6 +340,7 @@ def _search_with_graph(n: int, t: int, mode: str, time_budget: float | None,
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValueError(f"unknown mode {mode!r}")
     _check_budget(time_budget)
+    _check_t(t)
     limit = config.search_cap(cap)
     if n > limit + 1:
         raise ValueError(f"degree {n} exceeds search cap {limit}")
@@ -503,10 +498,9 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    _check_t(t)
+    neighbours = _neighbour_index(n, t)  # one index for every trial; checks t
     rep = VerificationReport("pipeline")
     rng = random.Random(seed)
-    neighbours = _neighbour_index(n, t)  # one index for every trial
     table = _sn_table(n)  # rank order, so a draw is unrank(n, randrange(n!))
     why_unassessed = {
         "disjoint-union-decomposition": "star generating set contains the empty set",

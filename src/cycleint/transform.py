@@ -16,14 +16,12 @@ each visited pair rewrites in place, and builds one family at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .intersect import PermFamily, is_stabilizer_of_points
 from .perm import Permutation, parse_points
+from .report import _FrozenRecord
 
 
-@dataclass(frozen=True)
-class ClosureTrace:
+class ClosureTrace(_FrozenRecord):
     """Termination evidence for a closure run.
 
     ``passes`` counts full sweeps including the final clean one, so a closure
@@ -33,12 +31,14 @@ class ClosureTrace:
     for the compression closure (strictly decreasing).
     """
 
-    operation: str
-    passes: int
-    applications: int
-    potential_before: int
-    potential_after: int
-    pass_applications: tuple[int, ...] = ()
+    __slots__ = ("operation", "passes", "applications", "potential_before",
+                 "potential_after", "pass_applications")
+
+    def __init__(self, operation: str, passes: int, applications: int,
+                 potential_before: int, potential_after: int,
+                 pass_applications: tuple[int, ...] = ()):
+        self._fill(operation, passes, applications, potential_before,
+                   potential_after, pass_applications)
 
 
 def _check_points(n: int, i: int, j: int, ordered: bool = False) -> None:

@@ -331,6 +331,24 @@ def test_verify_refuses_a_negative_t(capsys):
     assert main(["verify", "--suite", "theorem14", "--n", "3", "--t", "0"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "4", "--t", "-1"],
+    ["search", "--n", "4", "--t", "-1", "--enumerate-all"],
+    ["transform", "--in", "FAMILY", "--pipeline", "maximalize", "--t", "-1"],
+    ["transform", "--in", "FAMILY", "--pipeline", "fix-closure,maximalize", "--t", "-1"],
+    *(["gensets", "--family", "FAMILY", "--check", check, "--t", "-1"]
+      for check in ("generating-set", "t-intersecting", "pair-overlap",
+                    "disjoint-union", "all"))])
+def test_every_command_refuses_a_negative_t(tmp_path, stab_family_file, capsys, argv):
+    out = tmp_path / "out.json"
+    argv = [str(stab_family_file) if a == "FAMILY" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: t must be at least 0, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_summary_counts_the_records_not_assessed(capsys):
     assert main(["verify", "--suite", "theorem14", "--n", "6", "--t", "2",
                  "--budget", "0"]) == 0

@@ -124,6 +124,14 @@ def test_graph_is_irreflexive_and_symmetric():
             assert (g.adj[u] >> v) & 1 == (g.adj[v] >> u) & 1
 
 
+def test_graph_and_maximalize_refuse_a_negative_t():
+    for call in (lambda: build_intersection_graph(3, -1),
+                 lambda: maximalize(stab({1}, 3), -1),
+                 lambda: max_family_search(3, -1, graph=build_intersection_graph(3, 1))):
+        with pytest.raises(ValueError, match="t must be at least 0, got -1"):
+            call()
+
+
 def test_graph_cap_refused():
     with pytest.raises(ValueError, match="cap"):
         build_intersection_graph(8, 1)

@@ -317,8 +317,9 @@ def test_budget_is_read_before_the_vertex_ordering(monkeypatch):
 
 
 def test_budget_is_read_during_the_vertex_ordering():
-    # t = 0 makes the graph complete, where renumbering alone takes several
-    # seconds at n = 7
+    # t = 0 makes the graph complete, where the search runs about a minute at
+    # n = 7; its degree order is the identity, so nothing is renumbered there,
+    # and the deadline read of _renumber is tested on its own below
     start = time.monotonic()
     result = max_family_search(7, 0, time_budget=0.5)
     assert not result.complete
