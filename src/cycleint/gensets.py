@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable, Iterator
 
 from . import report
-from .intersect import (PermFamily, _fixed_point_family, _maximalize,
+from .intersect import (PermFamily, _check_t, _fixed_point_family, _maximalize,
                         _neighbour_index, _sn_table)
 from .perm import parse_degree, parse_points, point_mask, rank
 from .report import CheckResult, _FrozenRecord, _Record
@@ -280,6 +280,7 @@ def reduced_fix_prefix_family(points: Iterable[int], n: int) -> PermFamily:
 
 def is_t_intersecting_system(system: SetSystem, t: int) -> bool:
     """Every two distinct members share at least t elements."""
+    _check_t(t)
     return all((a & b).bit_count() >= t
                for a, b in itertools.combinations(system.masks, 2))
 
@@ -354,6 +355,7 @@ def check_pair_overlap_t_plus_one(system: SetSystem, t: int) -> CheckResult:
     """On a left-compressed inclusion-minimal system, any two members (not
     necessarily distinct) admitting i < j with i outside both and j inside
     both must share at least t+1 elements."""
+    _check_t(t)
     n = system.n
     if n <= t + 1:
         return report.hypothesis_not_met(detail=f"needs n > t+1, got n={n}, t={t}")

@@ -7,11 +7,10 @@ of the sharply 1-transitive group C_n are checked to be independent in the
 graph; they then bound every clique by their number, and each node branches
 on the coset with the fewest live candidates. Those per-coset counts travel
 down the tree: each child copies its parent's and subtracts the candidates
-its step removes, so no node recounts a coset. Elsewhere vertices are
-renumbered by descending degree, ties by ascending rank (Welsh and Powell),
-so the dense vertices are numbered lowest and candidate sets below the root
-are narrow ints; a greedy coloring of each candidate set, one class at a
-time on bitsets from the highest vertex down (BBMC), gives the bound.
+its step removes, so no node recounts a coset. Elsewhere the search walks
+the graph's rows in rank order, as built: a greedy coloring of each
+candidate set, one class at a time on bitsets from the highest rank down
+(BBMC), gives the bound.
 Enumerate-all pruning keeps branches that can tie the incumbent: the witness
 list is complete and duplicate-free.
 
@@ -76,29 +75,6 @@ class BudgetExceeded(Exception):
     pass
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded
-
-
-def _renumber(adj: tuple[int, ...], order: list[int],
-              deadline: float | None) -> list[int]:
-    """The rows of ``adj`` with vertex ``order[i]`` renamed ``i``; the
-    deadline is read once per vertex. Each row is walked from its top bit,
-    so every step works on a shorter int."""
-    position = sorted(range(len(order)), key=order.__getitem__)
-    rows = []
-    for v in order:
-        _check_deadline(deadline)
-        row, new = adj[v], 0
-        while row:
-            u = row.bit_length() - 1
-            row ^= 1 << u
-            new |= 1 << position[u]
-        rows.append(new)
-    return rows
-
-
 def _coset_group(n: int, t: int) -> tuple[str, list[tuple[int, ...]]] | None:
     """Name and generators (image tuples) of a sharply t-transitive group on
     [n], where one is known here: C_n, generated by the n-cycle, for t = 1."""
@@ -149,7 +125,7 @@ class _CliqueSearch:
     """Exact maximum clique search: one depth-first loop over an explicit
     stack, with the bound chosen at the root: ``_coset_node`` where
     ``_coset_classes`` certifies a colouring, else ``_color_node`` over the
-    vertices renumbered by descending degree."""
+    graph's rows in rank order."""
 
     def __init__(self, graph: IntersectionGraph, enumerate_all: bool,
                  deadline: float | None):
@@ -165,7 +141,7 @@ class _CliqueSearch:
 
     def run(self) -> None:
         # the root is node 1, and it reads the clock before any coset or
-        # renumbering work
+        # colouring work
         self._tick()
         full = (1 << len(self.adj)) - 1
         found = _coset_classes(self.graph)
@@ -178,24 +154,12 @@ class _CliqueSearch:
             counts = bytearray(len(members) for _, members in classes)
             self._search(self._coset_node(classes, counts, full, full, 0))
             return
-        # new vertex i is old vertex order[i], by descending degree and then
-        # ascending rank (Welsh and Powell): the dense vertices get the low
-        # numbers, so candidate sets below the root are narrow ints, and a
-        # top-down scan visits vertices from the sparsest up. Where every
-        # degree is equal, as on the complete t = 0 graph, the order is the
-        # identity and the rows are kept as they are
-        adj = self.adj
-        order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
-        if order != list(range(len(adj))):
-            self.adj = _renumber(adj, order, self.deadline)
-        try:
-            self._search(self._color_node(full, 0))
-        finally:  # an expired search still returns its incumbents
-            self.cliques = [tuple(order[v] for v in c) for c in self.cliques]
+        self._search(self._color_node(full, 0))
 
     def _tick(self) -> None:
         self.nodes += 1
-        _check_deadline(self.deadline)
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded
 
     def _cut(self, bound: int) -> bool:
         """Whether a node with this bound can neither beat nor, in
@@ -291,9 +255,9 @@ class _CliqueSearch:
                 cand ^= 1 << v
 
     def _color_sort(self, cand: int) -> tuple[list[int], list[int]]:
-        """Greedy coloring from the highest vertex down, that is by ascending
-        degree, one class at a time: first-fit puts in each class the greedy
-        independent set, in that order, of the vertices not yet colored.
+        """Greedy coloring from the highest vertex down, one class at a time:
+        first-fit puts in each class the greedy independent set, in that
+        order, of the vertices not yet colored.
         Returns the vertices class by class, in the order they were colored,
         and ``ends``, where colour k is ``order[ends[k-1]:ends[k]]``. One flat
         list, not a list per class: an open node keeps its coloring, and a

@@ -351,6 +351,14 @@ def test_pair_overlap_check_gating():
     assert check_pair_overlap_t_plus_one(not_minimal, 1).status == HYPOTHESIS_NOT_MET
 
 
+def test_negative_t_is_refused():
+    disjoint = SetSystem(4, [(1, 2), (3, 4)])
+    with pytest.raises(ValueError, match="t must be at least 0"):
+        is_t_intersecting_system(disjoint, -1)
+    with pytest.raises(ValueError, match="t must be at least 0"):
+        check_pair_overlap_t_plus_one(disjoint, -1)
+
+
 # --- partition and surgery ---------------------------------------------------
 
 def test_partition_rejects_top_equal_t():
