@@ -68,10 +68,6 @@ class ExtremalComparison(_FrozenRecord):
 
     __slots__ = ("n", "t", "sizes", "verdicts", "cross_checked")
 
-    def __init__(self, n: int, t: int, sizes: dict, verdicts: tuple[str, ...],
-                 cross_checked: bool):
-        self._fill(n, t, sizes, verdicts, cross_checked)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "t": self.t, "sizes": dict(self.sizes),
                 "verdicts": list(self.verdicts),
@@ -144,11 +140,6 @@ class QuadCheck(_FrozenRecord):
     """
 
     __slots__ = ("n", "t", "even", "odd", "holds_for_all_even", "required", "ok")
-
-    def __init__(self, n: int, t: int, even: tuple[tuple[int, int, bool], ...],
-                 odd: tuple[tuple[int, int, bool], ...], holds_for_all_even: bool,
-                 required: bool, ok: bool):
-        self._fill(n, t, even, odd, holds_for_all_even, required, ok)
 
     def to_json_dict(self) -> dict:
         return {

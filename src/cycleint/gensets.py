@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable, Iterator
 
 from . import report
-from .intersect import (PermFamily, _check_t, _fixed_point_family, _maximalize,
+from .intersect import (PermFamily, _check_t, _fixed_point_family, _joinable,
                         _neighbour_index, _sn_table)
 from .perm import parse_degree, parse_points, point_mask, rank
 from .report import CheckResult, _FrozenRecord, _Record
@@ -187,11 +187,6 @@ class GeneratingSetCertificate(_FrozenRecord):
     __slots__ = ("system", "family_size", "max_element", "is_left_compressed",
                  "is_inclusion_minimal")
 
-    def __init__(self, system: SetSystem, family_size: int, max_element: int,
-                 is_left_compressed: bool, is_inclusion_minimal: bool):
-        self._fill(system, family_size, max_element, is_left_compressed,
-                   is_inclusion_minimal)
-
     def to_json_dict(self) -> dict:
         return {
             "system": self.system.to_json_dict(),
@@ -341,12 +336,10 @@ def disjoint_union_check(family: PermFamily, system: SetSystem, t: int) -> Check
         return report.hypothesis_not_met(detail="family is not fixed")
     if not is_compressed_family(family):
         return report.hypothesis_not_met(detail="family is not compressed")
-    neighbours = _neighbour_index(family.n, t)
-    try:  # _maximalize refuses a family that is not t-cycle-intersecting
-        maximal = len(_maximalize(family, t, neighbours)) == len(family)
-    except ValueError:
+    joinable = _joinable(family, _neighbour_index(family.n, t))
+    if joinable is None:
         return report.hypothesis_not_met(detail=f"family is not {t}-cycle-intersecting")
-    if not maximal:
+    if joinable:
         return report.hypothesis_not_met(detail="family is not maximal")
     return is_disjoint_union(family, system)
 
@@ -394,13 +387,8 @@ class TopPartition(_FrozenRecord):
     """
 
     __slots__ = ("delta", "top", "rest", "size_classes", "in_open_range")
+    _defaults = {"size_classes": {}, "in_open_range": True}
     _compared = ("delta", "top", "rest", "in_open_range")
-
-    def __init__(self, delta: int, top: SetSystem, rest: SetSystem,
-                 size_classes: dict[int, SetSystem] | None = None,
-                 in_open_range: bool = True):
-        self._fill(delta, top, rest, {} if size_classes is None else size_classes,
-                   in_open_range)
 
 
 def partition_by_max_element(system: SetSystem, t: int) -> TopPartition:
@@ -439,16 +427,7 @@ class SurgeryReport(_Record):
     __slots__ = ("case", "n", "t", "delta", "size_class", "base_size", "candidates",
                  "candidate_t_intersecting", "candidate_sizes", "best_size",
                  "strict_gain", "pivot", "survivors", "pigeonhole_ok")
-
-    def __init__(self, case: int, n: int, t: int, delta: int, size_class: int,
-                 base_size: int, candidates: dict[str, SetSystem],
-                 candidate_t_intersecting: dict[str, bool],
-                 candidate_sizes: dict[str, int], best_size: int, strict_gain: bool,
-                 pivot: int | None = None, survivors: SetSystem | None = None,
-                 pigeonhole_ok: bool | None = None):
-        self._fill(case, n, t, delta, size_class, base_size, candidates,
-                   candidate_t_intersecting, candidate_sizes, best_size,
-                   strict_gain, pivot, survivors, pigeonhole_ok)
+    _defaults = {"pivot": None, "survivors": None, "pigeonhole_ok": None}
 
 
 def _drop_top(system: SetSystem, top: int) -> SetSystem:

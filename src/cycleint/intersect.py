@@ -176,9 +176,7 @@ class IntersectionGraph:
 
 class _SnTable:
     """S_n in rank order with its rows grouped by fixed-point bitmask (bit x-1
-    for point x), at most 2^n groups, and each row's interned cycle ids.
-    Cycles are read from throwaway copies, so none is cached on the shared
-    rows: the table is about 1.7 MB at n = 7."""
+    for point x), at most 2^n groups, and each row's interned cycle ids."""
 
     __slots__ = ("perms", "rows_by_fixed", "cycle_ids")
 
@@ -190,8 +188,7 @@ class _SnTable:
         self.rows_by_fixed = {mask: tuple(rows) for mask, rows in groups.items()}
         interned: dict[tuple[int, ...], int] = {}
         self.cycle_ids = tuple(
-            tuple(interned.setdefault(c, len(interned))
-                  for c in Permutation._trusted(p.image).cycles())
+            tuple(interned.setdefault(c, len(interned)) for c in p.cycles())
             for p in self.perms)
 
 
@@ -290,9 +287,10 @@ def _neighbour_index(n: int, t: int):
 def build_intersection_graph(n: int, t: int,
                              cap: int | None = None) -> IntersectionGraph:
     """Materialize the graph; refuses degrees beyond the enumeration cap and,
-    before S_n is walked, degrees whose n! rows of n! bits alone would not
-    fit in memory."""
-    _refuse_beyond_memory(n, cap, "the adjacency rows", math.factorial)
+    before S_n is walked, degrees whose n! rows of n! bits, with the
+    per-cycle bitsets they are built from, would not fit in memory."""
+    _refuse_beyond_memory(n, cap, "the adjacency rows and the per-cycle bitsets",
+                          lambda n: math.factorial(n) + _cycle_count(n))
     _check_t(t)
     table = _sn_table(n, cap)
     adj = tuple(map(_neighbourhoods(table, t), range(len(table.perms))))
@@ -301,7 +299,10 @@ def build_intersection_graph(n: int, t: int,
 
 def is_maximal(family: PermFamily, t: int) -> bool:
     """No outside permutation t-cycle-intersects every member."""
-    return len(maximalize(family, t)) == len(family)
+    joinable = _joinable(family, _neighbour_index(family.n, t))
+    if joinable is None:
+        raise ValueError(f"family is not {t}-cycle-intersecting")
+    return not joinable
 
 
 def maximalize(family: PermFamily, t: int) -> PermFamily:
@@ -314,20 +315,29 @@ def maximalize(family: PermFamily, t: int) -> PermFamily:
     return _maximalize(family, t, _neighbour_index(family.n, t))
 
 
-def _maximalize(family: PermFamily, t: int, neighbours) -> PermFamily:
-    """:func:`maximalize` on ``_neighbour_index(n, t)`` of the family's
-    degree, which a caller with many families of one degree builds once."""
-    table = _sn_table(family.n)
+def _joinable(family: PermFamily, neighbours) -> int | None:
+    """The outside rows sharing t cycles with every member, as a bitset, or
+    None when the family is not t-cycle-intersecting. A caller with many
+    families of one degree builds ``neighbours = _neighbour_index(n, t)`` once."""
     ranks = [rank(p) for p in family]
     family_mask = sum(1 << r for r in ranks)
-    cand = (1 << len(table.perms)) - 1
+    cand = (1 << len(_sn_table(family.n).perms)) - 1
     for r in ranks:
         row = neighbours(r)
         # the family is t-cycle-intersecting iff each member's row, with the
         # member itself, holds every member
         if family_mask & ~(row | 1 << r):
-            raise ValueError(f"family is not {t}-cycle-intersecting")
+            return None
         cand &= row
+    return cand
+
+
+def _maximalize(family: PermFamily, t: int, neighbours) -> PermFamily:
+    """:func:`maximalize` on the ``neighbours`` that :func:`_joinable` takes."""
+    cand = _joinable(family, neighbours)
+    if cand is None:
+        raise ValueError(f"family is not {t}-cycle-intersecting")
+    table = _sn_table(family.n)
     members = list(family.members)
     while cand:
         v = (cand & -cand).bit_length() - 1

@@ -26,7 +26,7 @@ class Permutation:
     (3,)
     """
 
-    __slots__ = ("image", "_cycles", "_cycle_set")
+    __slots__ = ("image", "_cycle_set")
 
     def __init__(self, image: Sequence[int]):
         """Validate the images with :func:`parse_points`: n distinct points of [n]."""
@@ -35,7 +35,6 @@ class Permutation:
         if len(parse_points(image, n)) != n:
             raise ValueError(f"not a permutation of [{n}]: {image!r}")
         self.image = image
-        self._cycles: tuple[tuple[int, ...], ...] | None = None
         self._cycle_set: frozenset[tuple[int, ...]] | None = None
 
     @classmethod
@@ -43,7 +42,6 @@ class Permutation:
         """Wrap an image tuple already known to be a permutation; no validation."""
         perm = object.__new__(cls)
         perm.image = image
-        perm._cycles = None
         perm._cycle_set = None
         return perm
 
@@ -59,24 +57,22 @@ class Permutation:
         produce identical decompositions and cycle multisets compare by
         structural equality.
         """
-        if self._cycles is None:
-            image = self.image
-            n = len(image)
-            seen = bytearray(n + 1)
-            cycles = []
-            for start in range(1, n + 1):
-                if seen[start]:
-                    continue
-                cycle = [start]
-                seen[start] = 1
-                x = image[start - 1]
-                while x != start:
-                    cycle.append(x)
-                    seen[x] = 1
-                    x = image[x - 1]
-                cycles.append(tuple(cycle))
-            self._cycles = tuple(cycles)  # starts are found in ascending order
-        return self._cycles
+        image = self.image
+        n = len(image)
+        seen = bytearray(n + 1)
+        cycles = []
+        for start in range(1, n + 1):
+            if seen[start]:
+                continue
+            cycle = [start]
+            seen[start] = 1
+            x = image[start - 1]
+            while x != start:
+                cycle.append(x)
+                seen[x] = 1
+                x = image[x - 1]
+            cycles.append(tuple(cycle))
+        return tuple(cycles)  # starts are found in ascending order
 
     def cycle_set(self) -> frozenset[tuple[int, ...]]:
         """The cycles as a frozenset; the unit of cycle-intersection counting."""

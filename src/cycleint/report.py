@@ -8,7 +8,9 @@ failing record carries a machine-replayable witness.
 The package's result records are plain ``__slots__`` classes on the two
 bases here, not dataclasses: ``import dataclasses`` loads ``inspect`` and
 its parsers, and building each dataclass compiles code, which together took
-about a third of the start-up of every ``cycleint`` process.
+about a third of the start-up of every ``cycleint`` process. A record names
+its fields once, in ``__slots__``, and the base binds its constructor
+arguments to them.
 """
 
 from __future__ import annotations
@@ -22,15 +24,34 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
 class _Record:
     """A record lists its fields in ``__slots__``, in constructor order, and
-    its ``__init__`` sets them with ``_fill``. Two records of one class are
-    equal when their ``_compared`` fields are, by default all of them."""
+    the defaults of its optional, trailing fields in ``_defaults``; a list or
+    dict default is copied for each record. The constructor takes the fields
+    positionally or by name. Two records of one class are equal when their
+    ``_compared`` fields are, by default all of them."""
 
     __slots__ = ()
+    _defaults: dict[str, Any] = {}
     _compared: tuple[str, ...] = ()
 
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names, cls = self.__slots__, type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{cls} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
             object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+                value = value.copy() if isinstance(value, (list, dict)) else value
+            else:
+                raise TypeError(f"{cls} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{cls} got field {name!r} twice" if name in names
+                            else f"{cls} has no field {name!r}")
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._compared or self.__slots__)
@@ -64,9 +85,7 @@ class CheckResult(_FrozenRecord):
     """Outcome of a single hypothesis-carrying check; truthy iff it passed."""
 
     __slots__ = ("status", "witness", "detail")
-
-    def __init__(self, status: str, witness: Any = None, detail: str = ""):
-        self._fill(status, witness, detail)
+    _defaults = {"witness": None, "detail": ""}
 
     def __bool__(self) -> bool:
         return self.status == PASS
@@ -86,10 +105,7 @@ def hypothesis_not_met(witness: Any = None, detail: str = "") -> CheckResult:
 
 class CheckRecord(_Record):
     __slots__ = ("check", "params", "status", "witness", "detail")
-
-    def __init__(self, check: str, params: dict, status: str,
-                 witness: Any = None, detail: str = ""):
-        self._fill(check, params, status, witness, detail)
+    _defaults = {"witness": None, "detail": ""}
 
     def to_json_dict(self) -> dict:
         d = {"check": self.check, "params": self.params, "status": self.status}
@@ -104,11 +120,7 @@ class VerificationReport(_Record):
     """Per-check pass/fail records for one verification suite."""
 
     __slots__ = ("suite", "records", "stats")
-
-    def __init__(self, suite: str, records: list[CheckRecord] | None = None,
-                 stats: dict | None = None):
-        self._fill(suite, [] if records is None else records,
-                   {} if stats is None else stats)
+    _defaults = {"records": [], "stats": {}}
 
     def add(self, check: str, params: dict, status: str,
             witness: Any = None, detail: str = "") -> CheckRecord:

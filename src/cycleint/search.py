@@ -35,8 +35,8 @@ from .gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
                       fix_system, generating_set_surgery, is_disjoint_union,
                       is_generating_set, is_t_intersecting_system,
                       left_shift_minimals, reduced_fix_prefix_family)
-from .intersect import (IntersectionGraph, PermFamily, _check_t, _maximalize,
-                        _neighbour_index, _sn_table, build_intersection_graph,
+from .intersect import (IntersectionGraph, PermFamily, _check_t, _joinable,
+                        _maximalize, _neighbour_index, _sn_table, build_intersection_graph,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,
                         stabilized_points)
 from .perm import all_permutations, parse_degree
@@ -53,12 +53,7 @@ class CliqueSearchResult(_Record):
 
     __slots__ = ("n", "t", "mode", "max_size", "witnesses", "complete", "nodes",
                  "cutoffs", "elapsed", "certificate")
-
-    def __init__(self, n: int, t: int, mode: str, max_size: int,
-                 witnesses: tuple[PermFamily, ...], complete: bool, nodes: int = 0,
-                 cutoffs: int = 0, elapsed: float = 0.0, certificate: dict | None = None):
-        self._fill(n, t, mode, max_size, witnesses, complete, nodes, cutoffs,
-                   elapsed, certificate)
+    _defaults = {"nodes": 0, "cutoffs": 0, "elapsed": 0.0, "certificate": None}
 
     def to_json_dict(self) -> dict:
         return {
@@ -481,15 +476,11 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
         compressed, _ = compress_closure(fixed)
         fixsys = fix_system(compressed)
         star = left_shift_minimals(fixsys)
-        try:  # _maximalize refuses a family that is not t-cycle-intersecting
-            maximal = len(_maximalize(compressed, t, neighbours)) == len(compressed)
-            intersecting = True
-        except ValueError:
-            maximal = intersecting = False
+        joinable = _joinable(compressed, neighbours)
         outcome = {
             "size-preserved-by-closures":
                 len(start) == len(fixed) == len(compressed),
-            "output-t-cycle-intersecting": intersecting,
+            "output-t-cycle-intersecting": joinable is not None,
             "output-fixed": is_fixed_family(compressed),
             "output-compressed": is_compressed_family(compressed),
             "fix-system-is-generating-set":
@@ -507,7 +498,7 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
         }
         if is_stabilizer_of_points(compressed, t):
             stabilizer_outputs += 1
-        maximality_preserved += maximal
+        maximality_preserved += joinable == 0
         for name, ok in outcome.items():
             if ok is None:
                 unassessed.add(name)

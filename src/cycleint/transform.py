@@ -33,12 +33,7 @@ class ClosureTrace(_FrozenRecord):
 
     __slots__ = ("operation", "passes", "applications", "potential_before",
                  "potential_after", "pass_applications")
-
-    def __init__(self, operation: str, passes: int, applications: int,
-                 potential_before: int, potential_after: int,
-                 pass_applications: tuple[int, ...] = ()):
-        self._fill(operation, passes, applications, potential_before,
-                   potential_after, pass_applications)
+    _defaults = {"pass_applications": ()}
 
 
 def _check_points(n: int, i: int, j: int, ordered: bool = False) -> None:

@@ -225,9 +225,11 @@ def test_search_refuses_rows_beyond_physical_memory(monkeypatch, capsys):
     monkeypatch.setenv(config.SEARCH_CAP_ENV, "10")
     monkeypatch.setattr(intersect, "all_permutations", refuse)
     assert main(["search", "--n", "10", "--t", "1"]) == 2
-    need = math.factorial(10) ** 2 // 8  # about 1.6 TB of rows
+    # rows and 1 112 083 per-cycle bitsets of 10! bits: about 2.15 TB
+    need = (math.factorial(10) + 1_112_083) * math.factorial(10) // 8
     err = capsys.readouterr().err
-    assert err.startswith(f"error: degree 10: the adjacency rows need {need} bytes, ")
+    assert err.startswith(f"error: degree 10: the adjacency rows and the per-cycle "
+                          f"bitsets need {need} bytes, ")
     assert err.endswith(" bytes this process may use\n")
 
 
@@ -245,13 +247,25 @@ def test_search_refuses_rows_beyond_the_memory_limit(monkeypatch, capsys):
     # the limit reader sees the smaller of physical memory and a cgroup limit
     from cycleint import intersect
 
-    need = math.factorial(5) ** 2 // 8
+    need = (math.factorial(5) + 89) * math.factorial(5) // 8  # 3135: rows and cycles
     monkeypatch.setattr(intersect, "_memory_limit", lambda: need - 1)
     _refuse_to_build(monkeypatch)
     assert main(["search", "--n", "5", "--t", "1"]) == 2
     assert capsys.readouterr().err == (
-        f"error: degree 5: the adjacency rows need {need} bytes, "
-        f"more than the {need - 1} bytes this process may use\n")
+        f"error: degree 5: the adjacency rows and the per-cycle bitsets need {need} "
+        f"bytes, more than the {need - 1} bytes this process may use\n")
+
+
+def test_graph_build_counts_the_per_cycle_bitsets(monkeypatch, capsys):
+    # a limit that holds the 120 rows of 120 bits but not the 89 per-cycle
+    # bitsets alive while the rows are built
+    from cycleint import intersect
+
+    rows = math.factorial(5) ** 2 // 8
+    monkeypatch.setattr(intersect, "_memory_limit", lambda: rows)
+    assert main(["search", "--n", "5", "--t", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: degree 5: the adjacency rows and the per-cycle bitsets need 3135 bytes, ")
 
 
 def test_pipeline_refuses_an_index_beyond_the_memory_limit(monkeypatch, capsys):

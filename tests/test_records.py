@@ -89,6 +89,27 @@ def test_records_behave_as_their_dataclasses_did(cls, required, defaults, frozen
         assert record.size_classes is not cls(**required).size_classes
 
 
+@pytest.mark.parametrize("cls", [row[0] for row in RECORDS],
+                         ids=[row[0].__name__ for row in RECORDS])
+def test_each_record_declares_its_fields_once(cls):
+    assert "__init__" not in vars(cls)
+    names = cls.__slots__
+    # no required field follows an optional one
+    assert tuple(cls._defaults) == names[len(names) - len(cls._defaults):]
+    assert set(cls._compared) <= set(names)
+
+
+def test_a_bad_constructor_call_raises_type_error():
+    with pytest.raises(TypeError, match="takes 3 fields, got 4"):
+        CheckResult(PASS, None, "", "extra")
+    with pytest.raises(TypeError, match="has no field 'detials'"):
+        CheckResult(PASS, detials="typo")
+    with pytest.raises(TypeError, match="got field 'status' twice"):
+        CheckResult(PASS, status=FAIL)
+    with pytest.raises(TypeError, match="is missing field 'params'"):
+        CheckRecord("c", status=PASS)
+
+
 def test_importing_the_package_loads_no_dataclasses_inspect_or_fractions():
     code = ("import json, sys; before = set(sys.modules); "
             "import cycleint, cycleint.cli; "
