@@ -68,11 +68,6 @@ class ExtremalComparison(_FrozenRecord):
 
     __slots__ = ("n", "t", "sizes", "verdicts", "cross_checked")
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "t": self.t, "sizes": dict(self.sizes),
-                "verdicts": list(self.verdicts),
-                "cross_checked": self.cross_checked}
-
 
 def compare_extremal(n: int, t: int, i_values=(0, 1)) -> ExtremalComparison:
     """Sizes of F_i for the requested i, enumerated within the cap and counted
@@ -140,15 +135,6 @@ class QuadCheck(_FrozenRecord):
     """
 
     __slots__ = ("n", "t", "even", "odd", "holds_for_all_even", "required", "ok")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "t": self.t,
-            "even": [list(row) for row in self.even],
-            "odd": [list(row) for row in self.odd],
-            "holds_for_all_even": self.holds_for_all_even,
-            "required": self.required, "ok": self.ok,
-        }
 
 
 def quad_inequality_check(n: int, t: int) -> QuadCheck:

@@ -187,15 +187,6 @@ class GeneratingSetCertificate(_FrozenRecord):
     __slots__ = ("system", "family_size", "max_element", "is_left_compressed",
                  "is_inclusion_minimal")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "system": self.system.to_json_dict(),
-            "family_size": self.family_size,
-            "max_element": self.max_element,
-            "is_left_compressed": self.is_left_compressed,
-            "is_inclusion_minimal": self.is_inclusion_minimal,
-        }
-
 
 def certify_generating_set(family: PermFamily) -> GeneratingSetCertificate:
     if not family.members:

@@ -9,8 +9,8 @@ The package's result records are plain ``__slots__`` classes on the two
 bases here, not dataclasses: ``import dataclasses`` loads ``inspect`` and
 its parsers, and building each dataclass compiles code, which together took
 about a third of the start-up of every ``cycleint`` process. A record names
-its fields once, in ``__slots__``, and the base binds its constructor
-arguments to them.
+its fields once, in ``__slots__``; the base binds its constructor arguments
+to them and writes them, in that order, as its JSON.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ class _Record:
             raise TypeError(f"{cls} got field {name!r} twice" if name in names
                             else f"{cls} has no field {name!r}")
 
+    def to_json_dict(self) -> dict:
+        return {name: _json_value(getattr(self, name)) for name in self.__slots__}
+
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._compared or self.__slots__)
 
@@ -64,6 +67,18 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+def _json_value(value: Any) -> Any:
+    """``value`` as JSON data: by its own ``to_json_dict`` if it has one, a
+    tuple or list as a list, a dict with its values converted."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if isinstance(value, (tuple, list)):
+        return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    return value
 
 
 class _FrozenRecord(_Record):

@@ -2,15 +2,15 @@
 
 The search is exact branch-and-bound maximum clique on the intersection
 graph, with candidates in big-int bitsets: one depth-first loop over an
-explicit stack, with the bound chosen at the root. For t = 1 the left cosets
-of the sharply 1-transitive group C_n are checked to be independent in the
-graph; they then bound every clique by their number, and each node branches
-on the coset with the fewest live candidates. Those per-coset counts travel
-down the tree: each child copies its parent's and subtracts the candidates
-its step removes, so no node recounts a coset. Elsewhere the search walks
-the graph's rows in rank order, as built: a greedy coloring of each
-candidate set, one class at a time on bitsets from the highest rank down
-(BBMC), gives the bound.
+explicit stack, with the bound chosen at the root. For t = 0 and t = 1 the
+left cosets of a sharply t-transitive group, the trivial group and C_n, are
+checked to be independent in the graph; they then bound every clique by
+their number, and each node branches on the coset with the fewest live
+candidates. Those per-coset counts travel down the tree: each child copies
+its parent's and subtracts the candidates its step removes, so no node
+recounts a coset. Elsewhere the search walks the graph's rows in rank order,
+as built: a greedy coloring of each candidate set, one class at a time on
+bitsets from the highest rank down (BBMC), gives the bound.
 Enumerate-all pruning keeps branches that can tie the incumbent: the witness
 list is complete and duplicate-free.
 
@@ -72,7 +72,10 @@ class BudgetExceeded(Exception):
 
 def _coset_group(n: int, t: int) -> tuple[str, list[tuple[int, ...]]] | None:
     """Name and generators (image tuples) of a sharply t-transitive group on
-    [n], where one is known here: C_n, generated by the n-cycle, for t = 1."""
+    [n], where one is known here: the trivial group, with no generators, for
+    t = 0 and C_n, generated by the n-cycle, for t = 1."""
+    if t == 0:
+        return "trivial", []
     if t == 1:
         return f"C_{n}", [tuple(range(2, n + 1)) + (1,)]
     return None

@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from cycleint.extremal import ExtremalComparison, QuadCheck
+from cycleint.extremal import (ExtremalComparison, QuadCheck, compare_extremal,
+                               f_family, quad_inequality_check)
 from cycleint.gensets import (GeneratingSetCertificate, SetSystem, SurgeryReport,
-                              TopPartition)
+                              TopPartition, certify_generating_set)
 from cycleint.report import (FAIL, HYPOTHESIS_NOT_MET, PASS, CheckRecord,
-                             CheckResult, VerificationReport)
+                             CheckResult, VerificationReport, _Record)
 from cycleint.search import CliqueSearchResult
 from cycleint.transform import ClosureTrace
 
@@ -108,6 +109,36 @@ def test_a_bad_constructor_call_raises_type_error():
         CheckResult(PASS, status=FAIL)
     with pytest.raises(TypeError, match="is missing field 'params'"):
         CheckRecord("c", status=PASS)
+
+
+@pytest.mark.parametrize("record,expected", [
+    (quad_inequality_check(7, 2),
+     {"n": 7, "t": 2, "even": [[2, -8, True], [4, -12, True]],
+      "odd": [[3, -11, True], [5, -11, True]], "holds_for_all_even": True,
+      "required": True, "ok": True}),
+    (compare_extremal(6, 2, (0, 1, 2)),
+     {"n": 6, "t": 2, "sizes": {"F0": 24, "F1": 18, "F2": 16},
+      "verdicts": ["F0 > F1", "F0 > F2", "F1 > F2"], "cross_checked": True}),
+    (certify_generating_set(f_family(6, 2, 1)),
+     {"system": {"n": 6, "sets": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]},
+      "family_size": 18, "max_element": 4, "is_left_compressed": True,
+      "is_inclusion_minimal": True}),
+], ids=["QuadCheck", "ExtremalComparison", "GeneratingSetCertificate"])
+def test_record_json_is_pinned(record, expected):
+    data = record.to_json_dict()
+    # == tells a tuple from a list, and the JSON text pins the key order
+    assert data == expected and json.dumps(data) == json.dumps(expected)
+
+
+def _record_classes(cls=_Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def test_only_records_with_their_own_json_format_define_to_json_dict():
+    own = {cls.__name__ for cls in _record_classes() if "to_json_dict" in vars(cls)}
+    assert own == {"CheckRecord", "VerificationReport", "CliqueSearchResult"}
 
 
 def test_importing_the_package_loads_no_dataclasses_inspect_or_fractions():

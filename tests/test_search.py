@@ -311,11 +311,11 @@ def test_budget_is_read_before_the_vertex_ordering():
     assert result.nodes == 1
 
 
-def test_budget_is_read_during_the_vertex_ordering():
-    # t = 0 makes the graph complete, where the search takes more than 10 s
-    # at n = 7 even on a pre-built graph
+def test_budget_is_read_during_the_search():
+    # enumerating every maximum family at (7,2) takes 85 407 nodes, 10 to 15 s
+    # without a budget
     start = time.monotonic()
-    result = max_family_search(7, 0, time_budget=0.5)
+    result = max_family_search(7, 2, mode=ENUMERATE_ALL, time_budget=0.5)
     assert not result.complete
     assert time.monotonic() - start < 3
 
@@ -340,6 +340,24 @@ def test_coset_search_matches_fallback(monkeypatch, n, t, group):
     assert cert["classes"] * cert["order"] == math.factorial(n)
     assert cert["classes"] >= certified.max_size
     assert fallback.certificate is None
+
+
+@pytest.mark.parametrize("mode", [search.SIZE_ONLY, ENUMERATE_ALL])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_t_zero_searches_the_cosets_of_the_trivial_group(monkeypatch, n, mode):
+    certified = max_family_search(n, 0, mode=mode)
+    fallback = _fallback(monkeypatch, n, 0, mode=mode)
+    assert certified.complete and fallback.complete
+    assert certified.max_size == fallback.max_size
+    assert certified.witnesses == fallback.witnesses
+    assert certified.certificate["group"] == "trivial"
+    assert certified.certificate["classes"] == math.factorial(n)
+
+
+def test_seven_zero_completes_on_the_trivial_group():
+    result = max_family_search(7, 0, cap=7)
+    assert result.complete and result.nodes == 5040
+    assert [len(w) for w in result.witnesses] == [5040]
 
 
 @pytest.mark.parametrize("certified", [True, False])
