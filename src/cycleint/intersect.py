@@ -195,13 +195,18 @@ class _SnTable:
 _build_sn_table = functools.cache(_SnTable)
 
 
-def _sn_table(n: int, cap: int | None = None) -> _SnTable:
-    """The table of S_n, built on first use. The degree is checked before the
-    enumeration cap, so a bad degree is never reported as a cap error."""
+def _check_enumeration_cap(n: int, cap: int | None = None) -> None:
+    """Refuse a bad degree, then a degree beyond the enumeration cap, so a bad
+    degree is never reported as a cap error."""
     parse_degree(n)
     limit = config.enumeration_cap(cap)
     if n > limit:
         raise ValueError(f"degree {n} exceeds enumeration cap {limit}")
+
+
+def _sn_table(n: int, cap: int | None = None) -> _SnTable:
+    """The table of S_n, built on first use, behind the enumeration cap."""
+    _check_enumeration_cap(n, cap)
     return _build_sn_table(n)
 
 
@@ -227,7 +232,10 @@ def _neighbourhoods(table: _SnTable, t: int):
     def neighbours(r: int) -> int:
         row = 0
         for subset in itertools.combinations(table.cycle_ids[r], t):
-            row |= functools.reduce(operator.and_, (having[c] for c in subset), full)
+            common = full
+            for c in subset:
+                common &= having[c]
+            row |= common
         return row & ~(1 << r)
 
     return neighbours

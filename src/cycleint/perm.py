@@ -3,7 +3,9 @@
 Everything here is 1-indexed to match the combinatorial conventions of the
 rest of the package; conversions to 0-indexed positions happen only inside
 method bodies. Permutation values are immutable and hashable, so they can be
-shared freely between data structures (and threads) without copying.
+shared freely between data structures (and threads) without copying. The
+cycle set and the fixed points are derived from the images on first use and
+kept in a slot; equality and hashing read the images only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class Permutation:
     (3,)
     """
 
-    __slots__ = ("image", "_cycle_set")
+    __slots__ = ("image", "_cycle_set", "_fixed")
 
     def __init__(self, image: Sequence[int]):
         """Validate the images with :func:`parse_points`: n distinct points of [n]."""
@@ -36,6 +38,7 @@ class Permutation:
             raise ValueError(f"not a permutation of [{n}]: {image!r}")
         self.image = image
         self._cycle_set: frozenset[tuple[int, ...]] | None = None
+        self._fixed: tuple[int, ...] | None = None
 
     @classmethod
     def _trusted(cls, image: tuple[int, ...]) -> Permutation:
@@ -43,6 +46,7 @@ class Permutation:
         perm = object.__new__(cls)
         perm.image = image
         perm._cycle_set = None
+        perm._fixed = None
         return perm
 
     @property
@@ -82,11 +86,15 @@ class Permutation:
 
     def fixed_points(self) -> tuple[int, ...]:
         """Sorted tuple of the points x with sigma(x) = x."""
-        return tuple(x for x in range(1, len(self.image) + 1) if self.image[x - 1] == x)
+        if self._fixed is None:
+            self._fixed = tuple(x for x, y in enumerate(self.image, start=1) if x == y)
+        return self._fixed
 
     def fixed_mask(self) -> int:
-        """The fixed points as a :func:`point_mask`."""
-        return point_mask(self.fixed_points())
+        """The fixed points as a :func:`point_mask`. It scans the images and
+        leaves the fixed-point slot empty, so the table of S_n, which asks
+        every row for its mask, keeps no n! tuples alive."""
+        return point_mask(x for x, y in enumerate(self.image, start=1) if x == y)
 
     def cycle_type(self) -> tuple[int, ...]:
         """Sorted multiset of cycle lengths."""
@@ -216,10 +224,11 @@ def rank(sigma: Permutation) -> int:
     """Position of sigma in the lexicographic order of one-line images (0-based)."""
     image = sigma.image
     n = len(image)
+    later = (1 << n + 1) - 2  # bit x for each point x not yet passed
     r = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if image[j] < image[i])
-        r = r * (n - i) + smaller
+    for i, x in enumerate(image):
+        later ^= 1 << x
+        r = r * (n - i) + (later & ((1 << x) - 1)).bit_count()  # later points below x
     return r
 
 

@@ -35,8 +35,9 @@ from .gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
                       fix_system, generating_set_surgery, is_disjoint_union,
                       is_generating_set, is_t_intersecting_system,
                       left_shift_minimals, reduced_fix_prefix_family)
-from .intersect import (IntersectionGraph, PermFamily, _check_t, _joinable,
-                        _maximalize, _neighbour_index, _sn_table, build_intersection_graph,
+from .intersect import (IntersectionGraph, PermFamily, _check_enumeration_cap,
+                        _check_t, _joinable, _maximalize, _neighbour_index,
+                        _sn_table, build_intersection_graph,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,
                         stabilized_points)
 from .perm import all_permutations, parse_degree
@@ -350,20 +351,35 @@ def naive_max_family_size(n: int, t: int) -> int:
 
 
 def conjugacy_representatives(witnesses, n: int) -> list[PermFamily]:
-    """Canonical representative of each conjugacy class of witness families;
-    refuses degrees beyond the enumeration cap."""
-    # g . sigma . g^-1 maps y to g(sigma(g^-1(y))); each g is paired with
-    # the 0-based positions of g^-1(1), ..., g^-1(n)
-    group = [(g.image, sorted(range(n), key=g.image.__getitem__))
-             for g in _sn_table(n).perms]
+    """Canonical representative of each conjugacy class of witness families,
+    the one whose sorted images are least; refuses degrees beyond the
+    enumeration cap and witnesses of another degree."""
+    _check_enumeration_cap(n)
+    # (1 2) and the n-cycle generate S_n (S_1 needs none), so closing under
+    # conjugation by them reaches each witness's whole orbit. g . sigma . g^-1
+    # maps y to g(sigma(g^-1(y))); each g is paired with the 0-based positions
+    # of g^-1(1), ..., g^-1(n)
+    generators = [] if n == 1 else [
+        (g, sorted(range(n), key=g.__getitem__))
+        for g in ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1))]
 
-    class_key: dict = {}  # each conjugate of a walked witness -> its orbit's minimum
+    class_key: dict = {}  # each conjugate of a closed witness -> its orbit's minimum
     seen: dict = {}
     for family in witnesses:
+        if family.n != n:
+            raise ValueError(f"witness of degree {family.n}, expected degree {n}")
         own = tuple(sorted(p.image for p in family))
         if own not in class_key:
-            orbit = {tuple(sorted(tuple(g[p.image[x] - 1] for x in g_inv) for p in family))
-                     for g, g_inv in group}
+            orbit = {own}
+            frontier = [own]
+            while frontier:
+                images = frontier.pop()
+                for g, g_inv in generators:
+                    relabelled = tuple(sorted(tuple(g[image[x] - 1] for x in g_inv)
+                                              for image in images))
+                    if relabelled not in orbit:
+                        orbit.add(relabelled)
+                        frontier.append(relabelled)
             class_key.update(dict.fromkeys(orbit, min(orbit)))
         seen.setdefault(class_key[own], family)
     return [seen[key] for key in sorted(seen)]

@@ -10,6 +10,7 @@ from cycleint.perm import (Permutation, all_permutations, compose, conjugate,
 from cycleint.search import (conjugacy_representatives, max_family_search,
                              naive_max_family_size, pipeline_roundtrip,
                              verify_max_bound)
+from cycleint.transform import compress_perm, ij_fix_perm
 
 
 def test_identity_examples():
@@ -155,11 +156,31 @@ def test_canonical_decomposition_is_sorted_min_first():
         assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_rank_is_lexicographic_position(n):
     for i, p in enumerate(all_permutations(n)):
         assert rank(p) == i
         assert unrank(n, i) == p
+
+
+def test_fixed_points_are_never_stale_and_never_seen_by_equality():
+    def scan(p):
+        return tuple(x for x in range(1, p.n + 1) if p.image[x - 1] == x)
+
+    pairs = [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
+    for p in all_permutations(5):
+        assert p.fixed_points() == scan(p)  # fills p's cache before any rewrite
+        rewrites = [ij_fix_perm(p, i, j) for i, j in pairs]
+        rewrites += [compress_perm(p, i, j) for i, j in pairs if i < j]
+        for q in rewrites:
+            assert q.fixed_points() == scan(q), (p, q)
+            assert q.fixed_points() == scan(q), (p, q)  # the cached answer
+            assert q.fixed_mask() == point_mask(scan(q)), (p, q)
+        filled, fresh = Permutation(p.image), Permutation(p.image)
+        filled.fixed_points()
+        assert filled == fresh and fresh == filled
+        assert hash(filled) == hash(fresh)
+        assert len({filled, fresh}) == 1
 
 
 def test_unrank_out_of_range():

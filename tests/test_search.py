@@ -12,7 +12,7 @@ from cycleint import config, intersect, perm, search, transform
 from cycleint.extremal import stabilizer_family
 from cycleint.intersect import (PermFamily, _sn_table, build_intersection_graph,
                                 is_family_t_cycle_intersecting, is_maximal)
-from cycleint.perm import identity, unrank
+from cycleint.perm import conjugate, identity, unrank
 from cycleint.report import FAIL, HYPOTHESIS_NOT_MET, PASS
 from cycleint.search import (ENUMERATE_ALL, conjugacy_representatives,
                              max_family_search,
@@ -178,6 +178,37 @@ def test_conjugacy_representatives_match_the_reference():
             witnesses = max_family_search(n, t, mode=ENUMERATE_ALL).witnesses
             reps = conjugacy_representatives(witnesses, n)
             assert reps == _minimum_over_sn_representatives(witnesses, n), (n, t)
+
+
+def test_conjugacy_representatives_match_the_reference_on_random_families():
+    """Maximum families are highly symmetric; most random ones are fixed by
+    no conjugation but the identity, so the closure must reach all n! of
+    their conjugates. Some witnesses are conjugates of others, so classes
+    with several witnesses are covered too."""
+    rng = random.Random(29)
+    trivial_stabilizers = 0
+    for n in range(1, 6):
+        perms = _sn_table(n).perms
+        witnesses = []
+        for _ in range(12):
+            family = PermFamily(n, rng.sample(perms, rng.randint(1, min(6, len(perms)))))
+            g = rng.choice(perms)
+            witnesses += [family, PermFamily(n, (conjugate(p, g) for p in family))]
+            if n == 5:
+                stabilizer = [h for h in perms
+                              if PermFamily(n, (conjugate(p, h) for p in family)) == family]
+                trivial_stabilizers += len(stabilizer) == 1
+        rng.shuffle(witnesses)
+        reps = conjugacy_representatives(witnesses, n)
+        assert reps == _minimum_over_sn_representatives(witnesses, n), n
+    assert trivial_stabilizers > 0
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+def test_conjugacy_representatives_refuse_witnesses_of_another_degree(degree):
+    witnesses = [stabilizer_family((1,), 5), PermFamily(degree, [identity(degree)])]
+    with pytest.raises(ValueError, match=f"degree {degree}, expected degree 5"):
+        conjugacy_representatives(witnesses, 5)
 
 
 def test_verify_max_bound_passes_at_small_instances():
