@@ -9,6 +9,7 @@ I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -210,7 +211,10 @@ def _cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: ``parse_args``
+    returns a new namespace each call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="cycleint",
         description="Operators and exhaustive small-degree verification for "

@@ -30,14 +30,26 @@ class SetSystem:
 
     Each member is checked with :func:`perm.parse_points` and also carries
     its :func:`perm.point_mask`, which is what the subset and intersection
-    scans operate on.
+    scans operate on. Systems built here from members already checked skip
+    the check through ``_trusted``.
     """
 
     __slots__ = ("n", "sets", "masks", "_mask_set")
 
     def __init__(self, n: int, sets: Iterable[Iterable[int]] = ()):
-        self.n = parse_degree(n)
-        self.sets = tuple(sorted({parse_points(s, n) for s in sets}))
+        self._fill(parse_degree(n), {parse_points(s, n) for s in sets})
+
+    @classmethod
+    def _trusted(cls, n: int, sets: Iterable[tuple[int, ...]]) -> "SetSystem":
+        """Wrap sorted tuples of points of [n] already known to be valid;
+        duplicates are dropped, nothing is validated."""
+        system = object.__new__(cls)
+        system._fill(n, set(sets))
+        return system
+
+    def _fill(self, n: int, sets: set[tuple[int, ...]]) -> None:
+        self.n = n
+        self.sets = tuple(sorted(sets))
         self.masks = tuple(map(point_mask, self.sets))
         self._mask_set = frozenset(self.masks)
 
@@ -69,12 +81,13 @@ class SetSystem:
     def union(self, other: "SetSystem") -> "SetSystem":
         if self.n != other.n:
             raise ValueError("ground-set size mismatch")
-        return SetSystem(self.n, self.sets + other.sets)
+        return SetSystem._trusted(self.n, self.sets + other.sets)
 
     def difference(self, other: "SetSystem") -> "SetSystem":
         if self.n != other.n:
             raise ValueError("ground-set size mismatch")
-        return SetSystem(self.n, (s for s in self.sets if s not in other))
+        return SetSystem._trusted(self.n, (s for s, m in zip(self.sets, self.masks)
+                                           if m not in other._mask_set))
 
 
 def up_permutations(points: Iterable[int], n: int,
@@ -109,14 +122,14 @@ def is_generating_set(system: SetSystem, family: PermFamily) -> bool:
 
 def fix_system(family: PermFamily) -> SetSystem:
     """The set system of the members' fixed-point sets, deduplicated."""
-    return SetSystem(family.n, (p.fixed_points() for p in family))
+    return SetSystem._trusted(family.n, (p.fixed_points() for p in family))
 
 
 def left_shift_set(points: Iterable[int], n: int) -> SetSystem:
     """All same-size sets obtainable by componentwise decreasing the sorted
     elements; always includes the input set itself. The points are checked
     with :func:`perm.parse_points`."""
-    member = parse_points(points, n)
+    member = parse_points(points, parse_degree(n))
     shifts: list[tuple[int, ...]] = []
 
     def extend(idx: int, prev: int, chosen: list[int]) -> None:
@@ -129,14 +142,14 @@ def left_shift_set(points: Iterable[int], n: int) -> SetSystem:
             chosen.pop()
 
     extend(0, 0, [])
-    return SetSystem(n, shifts)
+    return SetSystem._trusted(n, shifts)
 
 
 def left_shift_system(system: SetSystem) -> SetSystem:
     out: list[tuple[int, ...]] = []
     for member in system:
         out.extend(left_shift_set(member, system.n).sets)
-    return SetSystem(system.n, out)
+    return SetSystem._trusted(system.n, out)
 
 
 def is_left_compressed(system: SetSystem) -> bool:
@@ -150,7 +163,7 @@ def minimal_elements(system: SetSystem) -> SetSystem:
     for s, m in zip(system.sets, masks):
         if not any(other != m and other & m == other for other in masks):
             keep.append(s)
-    return SetSystem(system.n, keep)
+    return SetSystem._trusted(system.n, keep)
 
 
 def left_shift_minimals(system: SetSystem) -> SetSystem:

@@ -10,8 +10,9 @@ Family-level variants rewrite a member only when the rewrite is not already
 present in the family *as it was before the sweep step*; this keeps the family
 size constant. Closures sweep the index pairs in lexicographic order until a
 clean pass, visiting only the pairs whose partner j some member offers in
-row i; traces record the work. A closure keeps its members in one set, which
-each visited pair rewrites in place, and builds one family at the end.
+row i; traces record the work. A closure keeps its members in one dict keyed
+by their image tuples, so a membership test hashes a tuple in C; each visited
+pair rewrites the dict in place, and one family is built at the end.
 """
 
 from __future__ import annotations
@@ -76,10 +77,10 @@ def _compress(sigma: Permutation, i: int, j: int) -> Permutation:  # points chec
     return Permutation._trusted(tuple(image))  # images permuted: still a permutation
 
 
-def _rewrite_step(live: set[Permutation], members, rewrite) -> int:
-    """One operator step on the family ``live``, in place: each of ``members``
-    (all in ``live``) is replaced by its rewrite unless that is in ``live``.
-    Returns the number replaced.
+def _rewrite_step(live: dict[tuple[int, ...], Permutation], members, rewrite) -> int:
+    """One operator step on the family ``live``, keyed by image, in place:
+    each of ``members`` (all in ``live``) is replaced by its rewrite unless
+    that is in ``live``. Returns the number replaced.
 
     This is the set-map rule on the family as it was before the step. At the
     pair (i, j) every rewrite fixes i and every member it replaces moves i, so
@@ -88,25 +89,25 @@ def _rewrite_step(live: set[Permutation], members, rewrite) -> int:
     applications = 0
     for sigma in members:
         candidate = rewrite(sigma)
-        if candidate not in live:  # an unchanged sigma is live, so it stays
-            live.remove(sigma)
-            live.add(candidate)
+        if candidate.image not in live:  # an unchanged sigma is live, so it stays
+            del live[sigma.image]
+            live[candidate.image] = candidate
             applications += 1
     return applications
 
 
 def ij_fix_family(family: PermFamily, i: int, j: int) -> PermFamily:
     _check_points(family.n, i, j)
-    live = set(family)
+    live = {s.image: s for s in family}
     _rewrite_step(live, family, lambda s: _ij_fix(s, i, j))
-    return PermFamily(family.n, live)
+    return PermFamily(family.n, live.values())
 
 
 def compress_family(family: PermFamily, i: int, j: int) -> PermFamily:
     _check_points(family.n, i, j, ordered=True)
-    live = set(family)
+    live = {s.image: s for s in family}
     _rewrite_step(live, family, lambda s: _compress(s, i, j))
-    return PermFamily(family.n, live)
+    return PermFamily(family.n, live.values())
 
 
 def _fix_potential(family: PermFamily) -> int:
@@ -126,23 +127,23 @@ def _closure(family: PermFamily, offers, rewrite, operation: str,
     a member leaves only by a rewrite, which fixes i, so it never comes back
     within the row."""
     before = potential(family)
-    live = set(family)
+    live = {s.image: s for s in family}
     rows = range(1, family.n + 1) if live else ()  # no member, no offer
     per_pass: list[int] = []
     while not per_pass or per_pass[-1]:
         pass_count = 0
         for i in rows:
             offering: dict[int, list[Permutation]] = {}
-            for s in live:
+            for s in live.values():
                 if s.image[i - 1] != i:
                     for j in offers(s, i):
                         offering.setdefault(j, []).append(s)
             for j in sorted(offering):
-                present = [s for s in offering[j] if s in live]
+                present = [s for s in offering[j] if s.image in live]
                 if present:
                     pass_count += _rewrite_step(live, present, lambda s: rewrite(s, i, j))
         per_pass.append(pass_count)
-    family = PermFamily(family.n, live)
+    family = PermFamily(family.n, live.values())
     return family, ClosureTrace(operation, len(per_pass), sum(per_pass), before,
                                 potential(family), tuple(per_pass))
 

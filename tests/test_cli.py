@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycleint
 from cycleint import config, transform
 from cycleint.cli import main
 from cycleint.extremal import stabilizer_family
@@ -698,3 +702,46 @@ def test_closures_of_the_empty_family_return_at_once(tmp_path, monkeypatch):
              "potential_after": 0, "pass_applications": [0]}
     assert read_json(trace) == {"steps": [{"step": "fix-closure", **clean},
                                           {"step": "compress-closure", **clean}]}
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path):
+    """``main`` reuses one parser in a process; a run of calls, a usage error
+    among them, prints, exits and writes what fresh processes do."""
+    argvs = [["search", "--n", "4", "--t", "2", "--enumerate-all"],
+             ["verify", "--suite", "pipeline", "--n", "5", "--t", "2", "--trials", "4",
+              "--seed", "1"],
+             ["search", "--n", "four", "--t", "1"],
+             ["extremal", "--n", "5", "--t", "2"],
+             ["verify", "--suite", "counterexample", "--n", "7", "--t", "4"],
+             ["search", "--n", "4", "--t", "1"]]
+
+    def outputs(run):
+        results = []
+        for k, argv in enumerate(argvs):
+            out = tmp_path / f"{k}.json"
+            code, stdout, stderr = run(argv + ["--out", str(out)])
+            payload = read_json(out) if out.exists() else None
+            if payload and "stats" in payload:
+                payload["stats"].pop("elapsed_seconds", None)
+            results.append((code, stdout, stderr, payload))
+            out.unlink(missing_ok=True)
+        return results
+
+    def in_process(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        return code, stdout.getvalue(), stderr.getvalue()
+
+    src = str(Path(cycleint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def fresh(argv):
+        done = subprocess.run([sys.executable, "-m", "cycleint.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    got = outputs(in_process)
+    assert [code for code, *_ in got] == [0, 0, 2, 0, 0, 0]
+    assert got == outputs(fresh)

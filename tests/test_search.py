@@ -308,6 +308,58 @@ def test_pipeline_builds_one_neighbour_index_and_one_family_per_closure(monkeypa
             assert len(built) == 1, (closure.__name__, trace)
 
 
+PIPELINE_CHECKS = ("size-preserved-by-closures", "output-t-cycle-intersecting",
+                   "output-fixed", "output-compressed", "fix-system-is-generating-set",
+                   "generating-systems-pairwise-t-intersecting",
+                   "disjoint-union-decomposition", "stabilizer-pullback")
+
+
+@pytest.mark.parametrize("n,t,trials,stats,outputs", [
+    (5, 2, 25, {"maximality_preserved": 5, "stabilizer_outputs": 5}, 3),
+    (6, 1, 20, {"maximality_preserved": 12, "stabilizer_outputs": 8}, 8),
+    (7, 2, 10, {"maximality_preserved": 1, "stabilizer_outputs": 0}, 5)])
+def test_pipeline_checks_each_output_once(monkeypatch, n, t, trials, stats, outputs):
+    seen = []
+    compress = search.compress_closure
+    monkeypatch.setattr(search, "compress_closure",
+                        lambda family: seen.append(compress(family)[0]) or (seen[-1], None))
+    decompositions = []
+    disjoint_union = search.is_disjoint_union
+    monkeypatch.setattr(search, "is_disjoint_union",
+                        lambda *args: decompositions.append(None) or disjoint_union(*args))
+    params = {"n": n, "t": t, "trials": trials, "seed": 1}
+    assert pipeline_roundtrip(n, t, trials, 1).to_json_dict() == {
+        "suite": "pipeline", "passed": True, "stats": stats,
+        "records": [{"check": name, "params": params, "status": "pass"}
+                    for name in PIPELINE_CHECKS]}
+    # no star system here holds the empty set, so each distinct output is
+    # decomposed once however many trials reach it
+    assert len(seen) == trials and len(set(seen)) == outputs
+    assert len(decompositions) == outputs
+
+
+def test_pipeline_does_not_share_checks_between_outputs_of_one_size(monkeypatch):
+    outputs = []
+    compress = search.compress_closure
+
+    def every_other_bad(family):
+        output, trace = compress(family)
+        if len(outputs) % 2:  # as large as the first output; the identity
+            # and the reversal (1 4)(2 3) share no cycle
+            output = PermFamily(4, [identity(4), unrank(4, 23)]
+                                + [unrank(4, r) for r in range(1, len(outputs[0]) - 1)])
+        outputs.append(output)
+        return output, trace
+
+    monkeypatch.setattr(search, "compress_closure", every_other_bad)
+    rep = pipeline_roundtrip(4, 1, trials=4, seed=1)
+    assert len(outputs[0]) == len(outputs[1]) and outputs[0] != outputs[1]
+    (record,) = [r for r in rep.records if r.check == "output-t-cycle-intersecting"]
+    assert record.status == FAIL
+    assert record.witness["trial"] == 1
+    assert record.witness["output"] == outputs[1].to_json_dict()
+
+
 def test_pipeline_draws_its_seeds_from_the_table(monkeypatch):
     for n in range(1, 7):
         assert list(_sn_table(n).perms) == [unrank(n, r) for r in range(math.factorial(n))]

@@ -331,6 +331,35 @@ def offered_pair_closure(family, offers, rewrite, operation, potential):
                                 potential(family), tuple(per_pass))
 
 
+def set_closure(family, offers, rewrite, operation, potential):
+    """Reference closure that keeps the members in one set of permutations,
+    rewritten in place at each visited pair, so membership goes through
+    ``Permutation.__hash__`` and ``__eq__``."""
+    before = potential(family)
+    live = set(family)
+    rows = range(1, family.n + 1) if live else ()
+    per_pass = []
+    while not per_pass or per_pass[-1]:
+        count = 0
+        for i in rows:
+            offering = {}
+            for s in live:
+                if s.image[i - 1] != i:
+                    for j in offers(s, i):
+                        offering.setdefault(j, []).append(s)
+            for j in sorted(offering):
+                for s in [s for s in offering[j] if s in live]:
+                    candidate = rewrite(s, i, j)
+                    if candidate not in live:
+                        live.remove(s)
+                        live.add(candidate)
+                        count += 1
+        per_pass.append(count)
+    family = PermFamily(family.n, live)
+    return family, ClosureTrace(operation, len(per_pass), sum(per_pass), before,
+                                potential(family), tuple(per_pass))
+
+
 def fix_potential(family):
     return sum(len(p.fixed_points()) for p in family)
 
@@ -379,6 +408,16 @@ def test_closures_match_the_per_pair_reference(seed):
                 if i < j:
                     assert compress_family(fam, i, j) == apply_family(
                         fam, lambda s: compress_perm(s, i, j))[0]
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_closures_match_the_permutation_set_reference(seed):
+    for fam in seeded_families(seed):
+        assert fix_closure(fam) == set_closure(
+            fam, lambda s, i: (s.image[i - 1],), ij_fix_perm, "fix-closure", fix_potential)
+        assert compress_closure(fam) == set_closure(
+            fam, lambda s, i: (j for j in s.fixed_points() if j > i), compress_perm,
+            "compress-closure", compress_potential)
 
 
 @st.composite
