@@ -81,12 +81,8 @@ def _cmd_transform(args) -> int:
     _write_json(args.out, family.to_json_dict())
     if args.trace:
         _write_json(args.trace, {"steps": [
-            {"step": tr.operation, "passes": tr.passes,
-             "applications": tr.applications,
-             "potential_before": tr.potential_before,
-             "potential_after": tr.potential_after,
-             "pass_applications": list(tr.pass_applications)}
-            for tr in traces]})
+            {"step" if key == "operation" else key: value
+             for key, value in tr.to_json_dict().items()} for tr in traces]})
     return 0
 
 

@@ -71,21 +71,12 @@ class ExtremalComparison(_FrozenRecord):
 
 def compare_extremal(n: int, t: int, i_values=(0, 1)) -> ExtremalComparison:
     """Sizes of F_i for the requested i, enumerated within the cap and counted
-    exactly either way; the two modes must agree wherever both run.
-
-    Sizes that could not be printed are refused before any counting: F_i
-    holds every permutation fixing [t+i], so |F_i| >= (n-t-i)!."""
+    exactly either way; the two modes must agree wherever both run. Sizes
+    that could not be printed are refused before any counting."""
     i_values = sorted(set(int(v) for v in i_values))
     for i in i_values:
         _check_f_params(n, t, i)
-    # no such limit before Python 3.10.7; 0 switches it off
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    for i in i_values:
-        if digits and _factorial_exceeds_digits(n - t - i, digits):
-            raise ValueError(
-                f"|F{i}| at (n={n}, t={t}) is at least ({n - t - i})!, which has "
-                f"more than {digits} digits, the interpreter's limit for printing "
-                f"an integer")
+    _refuse_unprintable_sizes(n, t, i_values)
     limit = config.enumeration_cap()
     sizes: dict[str, int] = {}
     cross_checked = n <= limit
@@ -107,6 +98,19 @@ def compare_extremal(n: int, t: int, i_values=(0, 1)) -> ExtremalComparison:
             verdicts.append(f"{x} {symbol} {y}")
     return ExtremalComparison(n=n, t=t, sizes=sizes,
                               verdicts=tuple(verdicts), cross_checked=cross_checked)
+
+
+def _refuse_unprintable_sizes(n: int, t: int, i_values) -> None:
+    """Refuse each |F_i| too long for the interpreter to print: F_i holds
+    every permutation fixing [t+i], so |F_i| >= (n-t-i)!."""
+    # no such limit before Python 3.10.7; 0 switches it off
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for i in i_values:
+        if digits and _factorial_exceeds_digits(n - t - i, digits):
+            raise ValueError(
+                f"|F{i}| at (n={n}, t={t}) is at least ({n - t - i})!, which has "
+                f"more than {digits} digits, the interpreter's limit for printing "
+                f"an integer")
 
 
 def _factorial_exceeds_digits(m: int, digits: int) -> bool:

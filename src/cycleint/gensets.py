@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 
 from . import report
 from .intersect import (PermFamily, _check_t, _fixed_point_family, _joinable,
-                        _neighbour_index, _sn_table)
+                        _sn_table)
 from .perm import parse_degree, parse_points, point_mask, rank
 from .report import CheckResult, _FrozenRecord, _Record
 from .transform import is_compressed_family, is_fixed_family
@@ -287,34 +287,30 @@ def is_t_intersecting_system(system: SetSystem, t: int) -> bool:
 def is_disjoint_union(family: PermFamily, system: SetSystem) -> CheckResult:
     """Do the prefix-fix classes of the members partition the family?
 
-    Each class is a bitset over the rows of the S_n table. Rows are in rank
-    order, which is permutation order, so the lowest set bit of an overlap or
-    a difference is its least permutation.
+    Each class is the set of fixed-point masks it admits, among the at most
+    2^n masks of the S_n table. Rows are in rank order, which is permutation
+    order, so the least row of some masks is their least permutation.
     """
     n = family.n
     if any(not member for member in system):
         raise ValueError("decomposition pattern must be nonempty")
-    patterns = [_prefix_masks(member, n) for member in system]
-    groups = _sn_table(n).rows_by_fixed.items()
-    classes = [sum(1 << r for mask, rows in groups if mask & prefix == wanted for r in rows)
-               for prefix, wanted in patterns]
-
-    def images(rows: int, count: int) -> list[list[int]]:
-        bits = [r for r in range(rows.bit_length()) if rows >> r & 1][:count]
-        return [list(_sn_table(n).perms[r].image) for r in bits]
-
+    table = _sn_table(n)
+    groups = table.rows_by_fixed
+    classes = [{mask for mask in groups if mask & prefix == wanted}
+               for prefix, wanted in (_prefix_masks(member, n) for member in system)]
     for (e1, c1), (e2, c2) in itertools.combinations(zip(system, classes), 2):
         if c1 & c2:
-            witness = {"sets": [list(e1), list(e2)], "perm": images(c1 & c2, 1)[0]}
+            least = min(groups[mask][0] for mask in c1 & c2)
+            witness = {"sets": [list(e1), list(e2)], "perm": list(table.perms[least].image)}
             return report.failed(witness, "classes overlap")
-    union = sum(classes)  # the classes are pairwise disjoint by now
-    # the family lies in the union when every member matches a pattern, and
+    union = set().union(*classes)  # the classes are pairwise disjoint by now
+    # the family lies in the union when every member's mask is in it, and
     # then equals it when the sizes agree
-    missing = [list(p.image) for p in family
-               if not any(p.fixed_mask() & prefix == wanted for prefix, wanted in patterns)]
-    if missing or union.bit_count() != len(family):
-        extra = union & ~sum(1 << rank(p) for p in family)
-        witness = {"missing": missing[:3], "extra": images(extra, 3)}
+    missing = [list(p.image) for p in family if p.fixed_mask() not in union]
+    if missing or sum(len(groups[mask]) for mask in union) != len(family):
+        ranks = {rank(p) for p in family}
+        extra = sorted(r for mask in union for r in groups[mask] if r not in ranks)[:3]
+        witness = {"missing": missing[:3], "extra": [list(table.perms[r].image) for r in extra]}
         return report.failed(witness, "union differs from family")
     return report.passed()
 
@@ -340,7 +336,7 @@ def disjoint_union_check(family: PermFamily, system: SetSystem, t: int) -> Check
         return report.hypothesis_not_met(detail="family is not fixed")
     if not is_compressed_family(family):
         return report.hypothesis_not_met(detail="family is not compressed")
-    joinable = _joinable(family, _neighbour_index(family.n, t))
+    joinable = _joinable(family, t)
     if joinable is None:
         return report.hypothesis_not_met(detail=f"family is not {t}-cycle-intersecting")
     if joinable:

@@ -15,15 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import os
 from collections.abc import Iterable, Iterator
 
 from . import config
 from .perm import Permutation, all_permutations, parse_cycles, parse_degree, rank
-
-
-_image = operator.attrgetter("image")
 
 
 class PermFamily:
@@ -33,13 +29,14 @@ class PermFamily:
 
     def __init__(self, n: int, perms: Iterable[Permutation] = ()):
         parse_degree(n)
-        members = sorted(set(perms), key=_image)
+        by_image = {p.image: p for p in perms}  # image tuples hash in C
+        members = tuple(by_image[image] for image in sorted(by_image))
         for p in members:
             if p.n != n:
                 raise ValueError(f"member degree {p.n} does not match family degree {n}")
         self.n = n
-        self.members = tuple(members)
-        self._images = frozenset(p.image for p in members)
+        self.members = members
+        self._images = frozenset(by_image)
 
     @classmethod
     def from_images(cls, n: int, rows: Iterable) -> "PermFamily":
@@ -284,11 +281,19 @@ def _check_t(t: int) -> None:
         raise ValueError(f"t must be at least 0, got {t}")
 
 
-def _neighbour_index(n: int, t: int):
-    """``_neighbourhoods`` of the table of S_n, behind the memory check for
-    its per-cycle bitsets (about 5.7 GB at n = 9)."""
+def _check_index(n: int, t: int) -> None:
+    """Refuse, before S_n is walked, what ``_neighbour_index`` cannot build: a
+    bad degree, per-cycle bitsets beyond memory (about 5.7 GB at n = 9), a
+    negative t, a degree beyond the enumeration cap; in that order."""
     _refuse_beyond_memory(n, None, "the per-cycle bitsets", _cycle_count)
     _check_t(t)
+    _check_enumeration_cap(n)
+
+
+@functools.lru_cache(maxsize=1)
+def _neighbour_index(n: int, t: int):
+    """``_neighbourhoods`` of the table of S_n, for callers that have run
+    ``_check_index``. Only the last index built is kept, about 1 MB at n = 7."""
     return _neighbourhoods(_sn_table(n), t)
 
 
@@ -307,7 +312,7 @@ def build_intersection_graph(n: int, t: int,
 
 def is_maximal(family: PermFamily, t: int) -> bool:
     """No outside permutation t-cycle-intersects every member."""
-    joinable = _joinable(family, _neighbour_index(family.n, t))
+    joinable = _joinable(family, t)
     if joinable is None:
         raise ValueError(f"family is not {t}-cycle-intersecting")
     return not joinable
@@ -320,13 +325,24 @@ def maximalize(family: PermFamily, t: int) -> PermFamily:
     lexicographic pass: the kept family only grows, so a permutation passed
     over stays incompatible.
     """
-    return _maximalize(family, t, _neighbour_index(family.n, t))
+    cand = _joinable(family, t)
+    if cand is None:
+        raise ValueError(f"family is not {t}-cycle-intersecting")
+    neighbours = _neighbour_index(family.n, t)  # checked by _joinable
+    perms = _sn_table(family.n).perms
+    members = list(family.members)
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        members.append(perms[v])
+        cand &= neighbours(v)
+    return PermFamily(family.n, members)
 
 
-def _joinable(family: PermFamily, neighbours) -> int | None:
+def _joinable(family: PermFamily, t: int) -> int | None:
     """The outside rows sharing t cycles with every member, as a bitset, or
-    None when the family is not t-cycle-intersecting. A caller with many
-    families of one degree builds ``neighbours = _neighbour_index(n, t)`` once."""
+    None when the family is not t-cycle-intersecting."""
+    _check_index(family.n, t)
+    neighbours = _neighbour_index(family.n, t)
     ranks = [rank(p) for p in family]
     family_mask = sum(1 << r for r in ranks)
     cand = (1 << len(_sn_table(family.n).perms)) - 1
@@ -338,17 +354,3 @@ def _joinable(family: PermFamily, neighbours) -> int | None:
             return None
         cand &= row
     return cand
-
-
-def _maximalize(family: PermFamily, t: int, neighbours) -> PermFamily:
-    """:func:`maximalize` on the ``neighbours`` that :func:`_joinable` takes."""
-    cand = _joinable(family, neighbours)
-    if cand is None:
-        raise ValueError(f"family is not {t}-cycle-intersecting")
-    table = _sn_table(family.n)
-    members = list(family.members)
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        members.append(table.perms[v])
-        cand &= neighbours(v)
-    return PermFamily(family.n, members)

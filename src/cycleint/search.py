@@ -29,16 +29,16 @@ import random
 import time
 
 from . import config
-from .extremal import (f_family, f_family_size, quad_inequality_check,
-                       stabilizer_family)
+from .extremal import (_refuse_unprintable_sizes, f_family, f_family_size,
+                       quad_inequality_check, stabilizer_family)
 from .gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
                       fix_system, generating_set_surgery, is_disjoint_union,
                       is_generating_set, is_t_intersecting_system,
                       left_shift_minimals, reduced_fix_prefix_family)
 from .intersect import (IntersectionGraph, PermFamily, _check_enumeration_cap,
-                        _check_t, _joinable, _maximalize, _neighbour_index,
-                        _sn_table, build_intersection_graph,
-                        is_stabilizer_of_points, is_t_cycle_intersecting_pair,
+                        _check_index, _check_t, _joinable, _sn_table,
+                        build_intersection_graph, is_stabilizer_of_points,
+                        is_t_cycle_intersecting_pair, maximalize,
                         stabilized_points)
 from .perm import all_permutations, parse_degree
 from .report import HYPOTHESIS_NOT_MET, PASS, VerificationReport, _Record
@@ -441,6 +441,7 @@ def verify_counterexample_regime(n: int, t: int) -> VerificationReport:
     stabilizer, strictly except at the documented t = 3 boundary."""
     if not t + 3 <= n < 2 * t + 1:
         raise ValueError(f"need t+3 <= n < 2t+1, got (n={n}, t={t})")
+    _refuse_unprintable_sizes(n, t, (0, 1))
     rep = VerificationReport("counterexample")
     params = {"n": n, "t": t}
     f0 = math.factorial(n - t)
@@ -460,14 +461,13 @@ def verify_counterexample_regime(n: int, t: int) -> VerificationReport:
     return rep
 
 
-def _check_output(compressed: PermFamily, t: int,
-                  neighbours) -> tuple[dict, int | None, bool]:
+def _check_output(compressed: PermFamily, t: int) -> tuple[dict, int | None, bool]:
     """The pipeline checks that read only the closure output, by name in
     report order; its ``_joinable`` count; whether it is a stabilizer of t
     points. Trials that reach one output share one call."""
     fixsys = fix_system(compressed)
     star = left_shift_minimals(fixsys)
-    joinable = _joinable(compressed, neighbours)
+    joinable = _joinable(compressed, t)
     outcome = {
         "output-t-cycle-intersecting": joinable is not None,
         "output-fixed": is_fixed_family(compressed),
@@ -501,7 +501,7 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    neighbours = _neighbour_index(n, t)  # one index for every trial; checks t
+    _check_index(n, t)  # refuse before S_n is walked
     rep = VerificationReport("pipeline")
     rng = random.Random(seed)
     table = _sn_table(n)  # rank order, so a draw is unrank(n, randrange(n!))
@@ -516,12 +516,12 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     checked: dict[PermFamily, tuple[dict, int | None, bool]] = {}  # by output
     for trial in range(trials):
         seed_perm = table.perms[rng.randrange(len(table.perms))]
-        start = _maximalize(PermFamily(n, [seed_perm]), t, neighbours)
+        start = maximalize(PermFamily(n, [seed_perm]), t)
         fixed, _ = fix_closure(start)
         compressed, _ = compress_closure(fixed)
         output = checked.get(compressed)
         if output is None:
-            output = checked[compressed] = _check_output(compressed, t, neighbours)
+            output = checked[compressed] = _check_output(compressed, t)
         output_outcome, joinable, stabilizer = output
         outcome = {
             "size-preserved-by-closures":

@@ -43,6 +43,8 @@ def test_transform_pipeline(tmp_path, stab_family_file):
     assert len(family) == 6
     steps = read_json(trace)["steps"]
     assert [s["step"] for s in steps] == ["fix-closure", "compress-closure"]
+    assert all(list(s) == ["step", "passes", "applications", "potential_before",
+                           "potential_after", "pass_applications"] for s in steps)
     assert all(s["applications"] == 0 for s in steps)  # stabilizer is a fixpoint
 
 
@@ -322,6 +324,19 @@ def test_verify_counterexample(tmp_path):
                  "--n", "7", "--t", "4"]) == 0
     assert main(["verify", "--suite", "counterexample",
                  "--n", "9", "--t", "4"]) == 2
+
+
+def test_counterexample_refuses_sizes_too_long_to_print(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "counterexample", "--n", "20000", "--t", "10000"]
+    for extra in ([], ["--out", str(out)]):
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: |F0| at (n=20000, t=10000) is at least (10000)!, which has more than ")
+        assert "the interpreter's limit for printing an integer" in captured.err
+    assert not out.exists()
 
 
 def test_verify_pipeline_requires_seed():

@@ -284,6 +284,36 @@ def test_s_n_walkers_build_no_validated_permutations(monkeypatch):
     assert validated == []
 
 
+def test_maximality_keeps_one_neighbour_index_per_degree_and_t(monkeypatch):
+    built = []
+    neighbourhoods = intersect._neighbourhoods
+    monkeypatch.setattr(intersect, "_neighbourhoods",
+                        lambda table, t: built.append((len(table.perms), t))
+                        or neighbourhoods(table, t))
+    intersect._neighbour_index.cache_clear()
+    build_intersection_graph(5, 2)  # the graph keeps no index
+    assert intersect._neighbour_index.cache_info().currsize == 0
+    built.clear()
+    perms = list(all_permutations(5))
+    for p in perms[::30]:
+        assert is_maximal(maximalize(PermFamily(5, [p]), 2), 2)
+    assert built == [(120, 2)]
+    assert is_maximal(stab({1}, 5), 1)
+    assert is_maximal(stab({1, 2}, 6), 2)
+    assert not is_maximal(PermFamily(6, [identity(6)]), 2)
+    assert built == [(120, 2), (120, 1), (720, 2)]
+
+
+def test_building_a_family_hashes_no_permutation(monkeypatch):
+    perms = list(all_permutations(4))
+    hashed = []
+    monkeypatch.setattr(Permutation, "__hash__",
+                        lambda self: hashed.append(self) or hash(self.image))
+    family = PermFamily(4, perms[::-1] + perms[:5])
+    assert family.members == tuple(perms)
+    assert hashed == []
+
+
 def test_maximalize_fixpoint_on_maximal_family():
     fam = stab({1, 2}, 5)
     assert maximalize(fam, 2) == fam

@@ -292,6 +292,7 @@ def test_pipeline_builds_one_neighbour_index_and_one_family_per_closure(monkeypa
 
     monkeypatch.setattr(intersect, "_neighbourhoods", counted_index)
     monkeypatch.setattr(search, "_neighbourhoods", counted_index, raising=False)
+    intersect._neighbour_index.cache_clear()
     assert pipeline_roundtrip(5, 2, trials=10, seed=7).passed
     assert indexes == [2]
 
