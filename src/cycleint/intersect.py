@@ -243,9 +243,11 @@ _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max",
                   "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 
+@functools.cache
 def _memory_limit() -> int:
     """Bytes this process may use: the smaller of physical memory and the
-    cgroup memory limit, where one of ``_CGROUP_LIMITS`` can be read."""
+    cgroup memory limit, where one of ``_CGROUP_LIMITS`` can be read. Read
+    once per process: every maximality question checks it."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for path in _CGROUP_LIMITS:
         try:

@@ -10,9 +10,11 @@ candidates. Those per-coset counts travel down the tree: each child copies
 its parent's and subtracts the candidates its step removes, so no node
 recounts a coset. Elsewhere the search walks the graph's rows in rank order,
 as built: a greedy coloring of each candidate set, one class at a time on
-bitsets from the highest rank down (BBMC), gives the bound.
-Enumerate-all pruning keeps branches that can tie the incumbent: the witness
-list is complete and duplicate-free.
+bitsets from the highest rank down (BBMC), gives the bound. On both paths a
+child whose candidate set is a clique opens no node: the clique shortcut
+records it whole, so a stabilizer of t points, with its (n-t)! members, costs
+one test instead of a node per member. Enumerate-all pruning keeps branches
+that can tie the incumbent: the witness list is complete and duplicate-free.
 
 The naive oracle enumerates every t-cycle-intersecting family by direct
 recursion over lexicographically ordered permutations with no graph, bitsets,
@@ -178,8 +180,9 @@ class _CliqueSearch:
     def _search(self, root) -> None:
         """An open node is its clique size and an iterator over its branches
         ``(bound, v, cand, child)``: v joins the clique unless it is -1, then a
-        nonempty ``cand`` opens ``child(cand, size)`` and an empty one records.
-        Nodes yield by non-increasing bound, so the first cut closes a node."""
+        ``cand`` that is a clique joins it whole and records, as an empty one
+        does, and any other opens ``child(cand, size)``. Nodes yield by
+        non-increasing bound, so the first cut closes a node."""
         chosen: list[int] = []
         stack = [(0, root)]
         while stack:
@@ -192,11 +195,27 @@ class _CliqueSearch:
             _, v, cand, child = branch
             if v >= 0:
                 chosen.append(v)
-            if cand:
+            if cand and not self._take_clique(cand, chosen):
                 self._tick()
                 stack.append((len(chosen), child(cand, len(chosen))))
             else:
                 self._record(chosen)
+
+    def _take_clique(self, cand: int, chosen: list[int]) -> bool:
+        """Whether ``cand`` is a clique; if so its members, from the highest
+        down, join ``chosen``. Each vertex is tested against the candidates
+        below it, so a set that is not a clique usually costs one AND."""
+        adj = self.adj
+        members = []
+        rest = cand
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            if rest & adj[v] != rest:
+                return False
+            members.append(v)
+        chosen += members
+        return True
 
     def _coset_node(self, classes: list[tuple[int, list[int]]], counts: bytearray,
                     parent_cand: int, cand: int, size: int):

@@ -8,6 +8,7 @@ random independent partition in place of the cosets. A walk over every
 vertex subset that is a clique gives the answers to compare.
 """
 
+import itertools
 from unittest import mock
 
 from hypothesis import given, settings
@@ -21,6 +22,9 @@ from cycleint.intersect import IntersectionGraph
 NODE_LIMIT = 10_000
 
 graphs = st.tuples(st.integers(1, 12), st.floats(0.2, 0.9), st.randoms(use_true_random=False))
+# many candidate sets of these are cliques, which the core records whole
+near_complete_graphs = st.tuples(st.integers(1, 12), st.floats(0.9, 1.0),
+                                 st.randoms(use_true_random=False))
 
 
 def _random_rows(m, density, rng):
@@ -114,18 +118,31 @@ def _assert_exact(rows, classes):
 
 
 @settings(max_examples=120, deadline=None)
-@given(graphs)
+@given(st.one_of(graphs, near_complete_graphs))
 def test_coloring_search_matches_brute_force(graph):
     m, density, rng = graph
     _assert_exact(_random_rows(m, density, rng), None)
 
 
 @settings(max_examples=120, deadline=None)
-@given(graphs)
+@given(st.one_of(graphs, near_complete_graphs))
 def test_class_search_matches_brute_force(graph):
     m, density, rng = graph
     rows = _random_rows(m, density, rng)
     _assert_exact(rows, _first_fit_classes(rows, rng))
+
+
+def test_a_set_missing_one_edge_is_not_taken_whole():
+    # singleton classes each hold exactly one candidate, so a class count
+    # would call the set a clique; the maximum cliques drop a or b
+    for m in range(2, 9):
+        for a, b in itertools.combinations(range(m), 2):
+            rows = [((1 << m) - 1) & ~(1 << v) for v in range(m)]
+            rows[a] &= ~(1 << b)
+            rows[b] &= ~(1 << a)
+            singletons = [(1 << v, [v]) for v in range(m)]
+            for classes in (None, singletons):
+                _assert_exact(rows, classes)
 
 
 @settings(max_examples=60, deadline=None)

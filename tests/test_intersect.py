@@ -364,11 +364,21 @@ def test_memory_limit_reads_the_cgroup_limit_where_there_is_one(monkeypatch, tmp
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
     monkeypatch.setattr(intersect, "_CGROUP_LIMITS", (str(v2), str(v1)))
-    assert intersect._memory_limit() == physical  # neither file exists
-    v2.write_text("max\n")  # no limit, in each version's own words
-    v1.write_text("9223372036854771712\n")
-    assert intersect._memory_limit() == physical
-    v1.write_text("5000\n")
-    assert intersect._memory_limit() == 5000
-    v2.write_text("2000\n")
-    assert intersect._memory_limit() == 2000
+
+    def limit():  # the limit is read once per process, so forget it first
+        intersect._memory_limit.cache_clear()
+        return intersect._memory_limit()
+
+    try:
+        assert limit() == physical  # neither file exists
+        v2.write_text("max\n")  # no limit, in each version's own words
+        v1.write_text("9223372036854771712\n")
+        assert limit() == physical
+        v1.write_text("5000\n")
+        assert limit() == 5000
+        v2.write_text("2000\n")
+        assert limit() == 2000
+        v2.write_text("3000\n")
+        assert intersect._memory_limit() == 2000  # not read again
+    finally:
+        intersect._memory_limit.cache_clear()

@@ -396,7 +396,7 @@ def test_budget_is_read_before_the_vertex_ordering():
 
 
 def test_budget_is_read_during_the_search():
-    # enumerating every maximum family at (7,2) takes 85 407 nodes, 10 to 15 s
+    # enumerating every maximum family at (7,2) takes 83 475 nodes, about 10 s
     # without a budget
     start = time.monotonic()
     result = max_family_search(7, 2, mode=ENUMERATE_ALL, time_budget=0.5)
@@ -440,7 +440,7 @@ def test_t_zero_searches_the_cosets_of_the_trivial_group(monkeypatch, n, mode):
 
 def test_seven_zero_completes_on_the_trivial_group():
     result = max_family_search(7, 0, cap=7)
-    assert result.complete and result.nodes == 5040
+    assert result.complete and result.nodes == 1
     assert [len(w) for w in result.witnesses] == [5040]
 
 
@@ -616,7 +616,7 @@ def test_top_down_coloring_search_matches_bottom_up_reference_at_a_forced_expiry
 
     monkeypatch.setattr(search._CliqueSearch, "_tick", tick)
     graph = build_intersection_graph(n, t, cap=7)
-    for k in (30, 100, 400):
+    for k in (30, 100, 300):
         for enumerate_all in (False, True):
             outcomes = []
             for cls in (search._CliqueSearch, _BottomUpSearch):
@@ -626,10 +626,11 @@ def test_top_down_coloring_search_matches_bottom_up_reference_at_a_forced_expiry
                     clique_search.run()
                 except search.BudgetExceeded:
                     expired = True
-                outcomes.append((expired, clique_search.best, clique_search.cliques,
+                outcomes.append((expired, clique_search.best,
+                                 _sorted_cliques(clique_search),
                                  clique_search.nodes, clique_search.cutoffs))
             assert outcomes[0] == outcomes[1], (k, enumerate_all)
-            # size-only (6,2) finishes in fewer than 400 nodes
+            # size-only (6,2) finishes in fewer than 300 nodes
             assert outcomes[0][0] or not enumerate_all
             assert outcomes[0][2]
 
@@ -646,7 +647,7 @@ def test_pipeline_fails_an_output_that_is_not_t_cycle_intersecting(monkeypatch):
 
 
 @pytest.mark.parametrize("n,t,cap,nodes,cutoffs,witnesses", [
-    (6, 2, None, 550, 535, 15), (7, 3, 7, 1686, 1651, 35)])
+    (6, 2, None, 310, 310, 15), (7, 3, 7, 1126, 1126, 35)])
 def test_coloring_search_counts_are_pinned(n, t, cap, nodes, cutoffs, witnesses):
     result = max_family_search(n, t, mode=ENUMERATE_ALL, cap=cap)
     assert result.complete and result.certificate is None
@@ -657,7 +658,7 @@ def test_coloring_search_counts_are_pinned(n, t, cap, nodes, cutoffs, witnesses)
 
 
 @pytest.mark.parametrize("n,t,cap", [(6, 2, None), (7, 3, 7)])
-@pytest.mark.parametrize("k", [30, 100, 400])
+@pytest.mark.parametrize("k", [30, 100, 300])
 def test_expired_coloring_search_returns_witnesses_in_rank_numbering(monkeypatch, n, t,
                                                                      cap, k):
     # a budget expiry leaves the search by an exception, and its incumbents
@@ -676,22 +677,38 @@ def test_expired_coloring_search_returns_witnesses_in_rank_numbering(monkeypatch
         assert is_family_t_cycle_intersecting(family, t)
 
 
+def _cocktail_party_rows(parts):
+    """The rows of K_{2,...,2}: vertices 2i and 2i + 1 form part i, and each
+    vertex is adjacent to every vertex outside its part. No candidate set of
+    two or more vertices below the root is a clique, so each level of the
+    search opens a node."""
+    full = (1 << 2 * parts) - 1
+    return [full & ~(3 << (v & ~1)) for v in range(2 * parts)]
+
+
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
     # t = 0 makes the graph complete, so the one maximum clique is all of
-    # S_n and the search goes n! levels deep
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 80)
+    # S_n, recorded whole below the root; the cocktail-party graph with more
+    # parts than the lowered limit needs a node per part
+    limit, lowered = sys.getrecursionlimit(), len(inspect.stack(0)) + 80
+    parts = lowered + 20
+    rows = _cocktail_party_rows(parts)
+    graph = intersect.IntersectionGraph(len(rows), 2, (), tuple(rows))
+    deep = search._CliqueSearch(graph, False, None)
+    sys.setrecursionlimit(lowered)
     try:
         five = max_family_search(5, 0, mode=ENUMERATE_ALL)
         six = max_family_search(6, 0, mode=ENUMERATE_ALL)
+        deep.run()
     finally:
         sys.setrecursionlimit(limit)
     assert five.complete and [len(w) for w in five.witnesses] == [120]
     assert six.complete and [len(w) for w in six.witnesses] == [720]
+    assert deep.best >= parts and deep.nodes >= parts
 
 
 @pytest.mark.parametrize("mode,nodes,cutoffs,witnesses", [
-    (search.SIZE_ONLY, 120, 120, 1), (ENUMERATE_ALL, 661, 661, 6)])
+    (search.SIZE_ONLY, 26, 26, 1), (ENUMERATE_ALL, 57, 57, 6)])
 def test_coset_search_counts_are_pinned(mode, nodes, cutoffs, witnesses):
     result = max_family_search(6, 1, mode=mode)
     assert result.complete and result.certificate["group"] == "C_6"
@@ -699,9 +716,11 @@ def test_coset_search_counts_are_pinned(mode, nodes, cutoffs, witnesses):
     assert result.max_size == 120
 
 
-@pytest.mark.parametrize("n,t,k,counts", [(7, 2, 400, (401, 375, 120, 3)),
-                                          (7, 1, 3000, (3001, 2724, 720, 4))])
+@pytest.mark.parametrize("n,t,k,counts", [(7, 2, 400, (401, 377, 120, 3)),
+                                          (7, 1, 100, (101, 0, 0, 0))])
 def test_counts_at_a_forced_expiry_are_pinned(monkeypatch, n, t, k, counts):
+    # (7,1) records every clique whole below its 129th and last node, so an
+    # expiry before that node has no incumbent
     def tick(self):
         self.nodes += 1
         if self.nodes > k:
@@ -739,10 +758,17 @@ class _RecountingSearch(search._CliqueSearch):
         yield bound - 1, -1, cand & ~mask, child
 
 
+def _sorted_cliques(clique_search):
+    """The cliques found, each as a sorted tuple: a candidate set recorded
+    whole lists its members from the highest vertex down, and the bottom-up
+    reference numbers the vertices in reverse."""
+    return [tuple(sorted(c)) for c in clique_search.cliques]
+
+
 def _search_outcome(cls, graph, enumerate_all):
     clique_search = cls(graph, enumerate_all, None)
     clique_search.run()
-    return (clique_search.best, clique_search.cliques, clique_search.nodes,
+    return (clique_search.best, _sorted_cliques(clique_search), clique_search.nodes,
             clique_search.cutoffs, clique_search.certificate)
 
 
@@ -772,6 +798,6 @@ def test_carried_singleton_counts_match_recounting_reference(monkeypatch):
 def test_seven_one_enumerate_all_counts_are_pinned():
     result = max_family_search(7, 1, mode=ENUMERATE_ALL, cap=7)
     assert result.complete
-    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (4880, 4880, 7)
+    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (129, 129, 7)
     assert result.max_size == 720
     assert (result.certificate["group"], result.certificate["classes"]) == ("C_7", 720)
