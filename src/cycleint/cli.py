@@ -158,7 +158,7 @@ def _cmd_extremal(args) -> int:
     comparison = compare_extremal(args.n, args.t, i_values)
     _write_json(args.out, comparison.to_json_dict())
     sizes = " ".join(f"|{k}|={v}" for k, v in comparison.sizes.items())
-    print(f"(n={args.n}, t={args.t}): {sizes}; " + "; ".join(comparison.verdicts))
+    print(f"(n={args.n}, t={args.t}): " + "; ".join([sizes, *comparison.verdicts]))
     return 0
 
 

@@ -219,8 +219,11 @@ def _fixed_point_family(n: int, keep, cap: int | None = None) -> PermFamily:
 def _neighbourhoods(table: _SnTable, t: int):
     """A function from a row to the bitset of the other rows sharing at least
     t cycles with it: the OR, over t-subsets of the row's cycle ids, of the AND
-    of the per-cycle row bitsets, which live only as long as the function."""
+    of the per-cycle row bitsets, which live only as long as the function.
+    At t = 0 every other row qualifies, and no cycle id is read."""
     full = (1 << len(table.perms)) - 1
+    if t == 0:
+        return lambda r: full ^ 1 << r
     having: dict[int, int] = {}
     for r, ids in enumerate(table.cycle_ids):
         for c in ids:

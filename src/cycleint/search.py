@@ -2,19 +2,21 @@
 
 The search is exact branch-and-bound maximum clique on the intersection
 graph, with candidates in big-int bitsets: one depth-first loop over an
-explicit stack, with the bound chosen at the root. For t = 0 and t = 1 the
-left cosets of a sharply t-transitive group, the trivial group and C_n, are
-checked to be independent in the graph; they then bound every clique by
-their number, and each node branches on the coset with the fewest live
-candidates. Those per-coset counts travel down the tree: each child copies
-its parent's and subtracts the candidates its step removes, so no node
-recounts a coset. Elsewhere the search walks the graph's rows in rank order,
-as built: a greedy coloring of each candidate set, one class at a time on
-bitsets from the highest rank down (BBMC), gives the bound. On both paths a
-child whose candidate set is a clique opens no node: the clique shortcut
-records it whole, so a stabilizer of t points, with its (n-t)! members, costs
-one test instead of a node per member. Enumerate-all pruning keeps branches
-that can tie the incumbent: the witness list is complete and duplicate-free.
+explicit stack, with the bound chosen at the root. At t = 1 the left cosets
+of C_n, each read off as the n rotations of a permutation's image tuple, are
+checked to be independent sets covering the graph; they then bound every
+clique by their number, (n-1)!, and each node branches on the coset with the
+fewest live candidates. Those per-coset counts travel down the tree: each
+child copies its parent's and subtracts the candidates its step removes, so
+no node recounts a coset. Every other t, t = 0 included, walks the graph's
+rows in rank order, as built: a greedy coloring of each candidate set, one
+class at a time on bitsets from the highest rank down (BBMC), gives the
+bound. On both paths a child whose candidate set is a clique opens no node:
+the clique shortcut records it whole, so a stabilizer of t points, with its
+(n-t)! members, costs one test instead of a node per member, and at t = 0,
+where the graph is complete, all of S_n is recorded below the root.
+Enumerate-all pruning keeps branches that can tie the incumbent: the witness
+list is complete and duplicate-free.
 
 The naive oracle enumerates every t-cycle-intersecting family by direct
 recursion over lexicographically ordered permutations with no graph, bitsets,
@@ -73,60 +75,45 @@ class BudgetExceeded(Exception):
     pass
 
 
-def _coset_group(n: int, t: int) -> tuple[str, list[tuple[int, ...]]] | None:
-    """Name and generators (image tuples) of a sharply t-transitive group on
-    [n], where one is known here: the trivial group, with no generators, for
-    t = 0 and C_n, generated by the n-cycle, for t = 1."""
-    if t == 0:
-        return "trivial", []
-    if t == 1:
-        return f"C_{n}", [tuple(range(2, n + 1)) + (1,)]
-    return None
-
-
 def _coset_classes(graph: IntersectionGraph):
-    """The left cosets of ``_coset_group(n, t)`` as (mask, members) classes of
-    the graph's vertices, with the certificate that they are a proper colouring,
-    so ``omega <= len(classes)``; None where there is no group or the checks
-    fail. Two permutations sharing t cycles agree on at least t points, and two
-    members of a coset of a sharply t-transitive group on fewer."""
-    found = _coset_group(graph.n, graph.t)
-    if found is None:
+    """At t = 1, the left cosets of C_n, generated by the n-cycle c, with the
+    certificate that names the group, each coset as its vertices in rank
+    order and the cosets in the order of their lowest vertex; None at any
+    other t. The coset of sigma holds sigma . c^k for k < n, which sends x to
+    sigma(x+k): sigma's image tuple rotated left by k. Its lowest vertex is
+    the rotation that starts with 1. Two permutations sharing a cycle agree on
+    a point, and two members of one coset on none."""
+    if graph.t != 1:
         return None
-    name, generators = found
-    group = [tuple(range(1, graph.n + 1))]
-    seen = set(group)
-    for h in group:  # breadth-first closure under composition h . g
-        for g in generators:
-            hg = tuple(h[y - 1] for y in g)
-            if hg not in seen:
-                seen.add(hg)
-                group.append(hg)
-    m = graph.size
+    n = graph.n
     vertex = {sigma.image: v for v, sigma in enumerate(graph.perms)}
-    classes = []
+    classes = [sorted(vertex[p.image[k:] + p.image[:k]] for k in range(n))
+               for p in graph.perms if p.image[0] == 1]
+    certificate = {"group": f"C_{n}", "generators": [[*range(2, n + 1), 1]],
+                   "order": n, "classes": len(classes)}
+    return certificate, classes
+
+
+def _colouring(adj, classes: list[list[int]]) -> list[tuple[int, list[int]]] | None:
+    """``classes`` as (mask, members) if they are a proper colouring of the
+    graph with rows ``adj``: disjoint, each independent, and together
+    covering every vertex, so ``omega <= len(classes)``; else None."""
+    coloured = []
     covered = 0
-    for v, sigma in enumerate(graph.perms):
-        if (covered >> v) & 1:
-            continue
-        members = sorted({vertex[tuple(sigma.image[y - 1] for y in h)] for h in group})
+    for members in classes:
         mask = sum(1 << u for u in members)
-        if covered & mask or any(graph.adj[u] & mask for u in members):
+        if covered & mask or any(adj[u] & mask for u in members):
             return None
         covered |= mask
-        classes.append((mask, members))
-    if covered != (1 << m) - 1 or len(classes) * len(group) != m:
-        return None
-    certificate = {"group": name, "generators": [list(g) for g in generators],
-                   "order": len(group), "classes": len(classes)}
-    return certificate, classes
+        coloured.append((mask, members))
+    return coloured if covered == (1 << len(adj)) - 1 else None
 
 
 class _CliqueSearch:
     """Exact maximum clique search: one depth-first loop over an explicit
-    stack, with the bound chosen at the root: ``_coset_node`` where
-    ``_coset_classes`` certifies a colouring, else ``_color_node`` over the
-    graph's rows in rank order."""
+    stack, with the bound chosen at the root: ``_coset_node`` where the
+    classes of ``_coset_classes`` are a ``_colouring``, else ``_color_node``
+    over the graph's rows in rank order."""
 
     def __init__(self, graph: IntersectionGraph, enumerate_all: bool,
                  deadline: float | None):
@@ -146,8 +133,9 @@ class _CliqueSearch:
         self._tick()
         full = (1 << len(self.adj)) - 1
         found = _coset_classes(self.graph)
-        if found is not None:
-            self.certificate, classes = found
+        classes = found and _colouring(self.adj, found[1])
+        if classes:
+            self.certificate = found[0]
             self.class_of = [0] * len(self.adj)
             for k, (_, members) in enumerate(classes):
                 for v in members:

@@ -137,6 +137,17 @@ def test_extremal_compare(tmp_path):
     assert payload["sizes"] == {"F0": 24, "F1": 26}
 
 
+def test_extremal_summary_separates_only_what_it_prints(tmp_path, capsys):
+    # one family has no verdicts, so its sizes end the line
+    out = str(tmp_path / "cmp.json")
+    assert main(["extremal", "--n", "5", "--t", "1", "--families", "F1", "--out", out]) == 0
+    assert capsys.readouterr().out == "(n=5, t=1): |F1|=14\n"
+    assert main(["extremal", "--n", "7", "--t", "3", "--families", "F0,F1,F2",
+                 "--out", out]) == 0
+    assert capsys.readouterr().out == \
+        "(n=7, t=3): |F0|=24 |F1|=22 |F2|=22; F0 > F1; F0 > F2; F1 = F2\n"
+
+
 def test_extremal_cross_check_failure_exits_one(monkeypatch, capsys):
     from cycleint import extremal
     monkeypatch.setattr(extremal, "f_family_size", lambda n, t, i: 0)

@@ -3,9 +3,9 @@
 The S_n graphs are highly symmetric, so a wrong skip branch or a bound that
 is off by one could go unseen on them alone. Here the core runs on random
 graphs of at most 12 vertices, on both of its paths: the colouring search
-(t = 2 has no group, so no classes are built) and the class search, fed a
-random independent partition in place of the cosets. A walk over every
-vertex subset that is a clique gives the answers to compare.
+(at t = 2 no classes are built) and the class search, fed a random
+independent partition in place of the cosets. A walk over every vertex
+subset that is a clique gives the answers to compare.
 """
 
 import itertools
@@ -57,8 +57,8 @@ def _maximum_cliques(rows):
 
 
 def _first_fit_classes(rows, rng):
-    """Independent classes, (mask, members), of a first-fit colouring in a
-    random vertex order."""
+    """The independent classes of a first-fit colouring in a random vertex
+    order, each as its members."""
     order = list(range(len(rows)))
     rng.shuffle(order)
     classes = []
@@ -69,7 +69,7 @@ def _first_fit_classes(rows, rng):
                 break
         else:
             classes.append([v])
-    return [(sum(1 << u for u in members), members) for members in classes]
+    return classes
 
 
 class _Probe(search._CliqueSearch):
@@ -140,7 +140,7 @@ def test_a_set_missing_one_edge_is_not_taken_whole():
             rows = [((1 << m) - 1) & ~(1 << v) for v in range(m)]
             rows[a] &= ~(1 << b)
             rows[b] &= ~(1 << a)
-            singletons = [(1 << v, [v]) for v in range(m)]
+            singletons = [[v] for v in range(m)]
             for classes in (None, singletons):
                 _assert_exact(rows, classes)
 

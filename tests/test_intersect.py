@@ -115,6 +115,26 @@ def test_graph_matches_pair_predicate():
                     assert ((g.adj[u] >> v) & 1) == expected, (n, t, u, v)
 
 
+def test_t_zero_reads_no_cycle_ids(monkeypatch):
+    # every pair shares at least 0 cycles, so no per-cycle bitset is built
+    table = _sn_table(5)
+
+    class Blind:
+        perms = table.perms
+        rows_by_fixed = table.rows_by_fixed
+
+        @property
+        def cycle_ids(self):
+            raise AssertionError("a t = 0 row read the cycle ids")
+
+    monkeypatch.setattr(intersect, "_sn_table", lambda n, cap=None: Blind())
+    intersect._neighbour_index.cache_clear()
+    full = (1 << 120) - 1
+    assert build_intersection_graph(5, 0).adj == tuple(full ^ 1 << r for r in range(120))
+    assert maximalize(PermFamily(5, [identity(5)]), 0) == PermFamily(5, table.perms)
+    intersect._neighbour_index.cache_clear()
+
+
 def test_graph_is_irreflexive_and_symmetric():
     g = build_intersection_graph(4, 1)
     for v in range(g.size):

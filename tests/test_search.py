@@ -406,8 +406,30 @@ def test_budget_is_read_during_the_search():
 
 def _fallback(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_coset_group", lambda n, t: None)
+        patch.setattr(search, "_coset_classes", lambda graph: None)
         return max_family_search(*args, **kwargs)
+
+
+def _singletons(graph):
+    """The cosets of the trivial group: every vertex a class of its own, so
+    omega is far below the class count and every maximum clique below the
+    first class needs the skip branch."""
+    certificate = {"group": "trivial", "generators": [], "order": 1,
+                   "classes": graph.size}
+    return certificate, [[v] for v in range(graph.size)]
+
+
+def _transposed_pairs(graph):
+    """The pairs {sigma, sigma . (1 2)}, the cosets of <(1 2)>, which is not
+    sharply 1-transitive: sigma . (1 2) swaps the first two images of sigma,
+    so the two share every cycle of sigma that avoids 1 and 2, and at n >= 3
+    some pairs are adjacent."""
+    vertex = {p.image: v for v, p in enumerate(graph.perms)}
+    pairs = [[v, vertex[(p.image[1], p.image[0], *p.image[2:])]]
+             for v, p in enumerate(graph.perms) if p.image[0] < p.image[1]]
+    certificate = {"group": "S_2", "generators": [[2, 1, *range(3, graph.n + 1)]],
+                   "order": 2, "classes": len(pairs)}
+    return certificate, pairs
 
 
 @pytest.mark.parametrize("n,t,group", [(3, 1, "C_3"), (4, 1, "C_4"), (5, 1, "C_5"),
@@ -429,25 +451,36 @@ def test_coset_search_matches_fallback(monkeypatch, n, t, group):
 @pytest.mark.parametrize("mode", [search.SIZE_ONLY, ENUMERATE_ALL])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_t_zero_searches_the_cosets_of_the_trivial_group(monkeypatch, n, mode):
-    certified = max_family_search(n, 0, mode=mode)
-    fallback = _fallback(monkeypatch, n, 0, mode=mode)
-    assert certified.complete and fallback.complete
-    assert certified.max_size == fallback.max_size
-    assert certified.witnesses == fallback.witnesses
-    assert certified.certificate["group"] == "trivial"
-    assert certified.certificate["classes"] == math.factorial(n)
+    # t = 0 runs on the colouring search; the trivial group's cosets, handed
+    # in as classes, give the same answer
+    plain = max_family_search(n, 0, mode=mode)
+    monkeypatch.setattr(search, "_coset_classes", _singletons)
+    singletons = max_family_search(n, 0, mode=mode)
+    assert plain.complete and singletons.complete
+    assert plain.certificate is None
+    assert singletons.max_size == plain.max_size == math.factorial(n)
+    assert singletons.witnesses == plain.witnesses
+    assert singletons.certificate["group"] == "trivial"
+    assert singletons.certificate["classes"] == math.factorial(n)
 
 
-def test_seven_zero_completes_on_the_trivial_group():
-    result = max_family_search(7, 0, cap=7)
-    assert result.complete and result.nodes == 1
-    assert [len(w) for w in result.witnesses] == [5040]
+def test_seven_zero_completes_on_the_trivial_group(monkeypatch):
+    # the colouring search and the trivial group's cosets each record all of
+    # S_7 below the root
+    graph = build_intersection_graph(7, 0, cap=7)
+    plain = max_family_search(7, 0, cap=7, graph=graph)
+    assert plain.complete and plain.nodes == 1 and plain.certificate is None
+    assert [len(w) for w in plain.witnesses] == [5040]
+    monkeypatch.setattr(search, "_coset_classes", _singletons)
+    singletons = max_family_search(7, 0, cap=7, graph=graph)
+    assert singletons.complete and singletons.certificate["classes"] == 5040
+    assert (singletons.nodes, singletons.witnesses) == (1, plain.witnesses)
 
 
 @pytest.mark.parametrize("certified", [True, False])
 def test_both_search_paths_agree_with_naive_oracle(monkeypatch, certified):
     if not certified:
-        monkeypatch.setattr(search, "_coset_group", lambda n, t: None)
+        monkeypatch.setattr(search, "_coset_classes", lambda graph: None)
     for n in range(1, 5):
         for t in range(1, n + 1):
             result = max_family_search(n, t)
@@ -456,14 +489,11 @@ def test_both_search_paths_agree_with_naive_oracle(monkeypatch, certified):
 
 
 def test_class_search_with_singleton_classes_matches_clique_search(monkeypatch):
-    # the trivial group gives n! singleton classes, so omega is far below the
-    # class count and every maximum clique needs the skip branch
     for n in range(1, 6):
         for t in range(1, n + 1):
             for mode in (search.SIZE_ONLY, ENUMERATE_ALL):
                 fallback = _fallback(monkeypatch, n, t, mode=mode)
-                monkeypatch.setattr(search, "_coset_group",
-                                    lambda n, t: ("trivial", [tuple(range(1, n + 1))]))
+                monkeypatch.setattr(search, "_coset_classes", _singletons)
                 singletons = max_family_search(n, t, mode=mode)
                 assert singletons.certificate["classes"] == math.factorial(n)
                 assert singletons.max_size == fallback.max_size, (n, t, mode)
@@ -472,9 +502,9 @@ def test_class_search_with_singleton_classes_matches_clique_search(monkeypatch):
 
 
 def test_dependent_cosets_fall_back(monkeypatch):
-    # <(1 2)> is not sharply 1-transitive: sigma and sigma.(1 2) share the
-    # 1-cycles of sigma on 3..5, so its cosets are not independent
-    monkeypatch.setattr(search, "_coset_group", lambda n, t: ("S_2", [(2, 1, 3, 4, 5)]))
+    graph = build_intersection_graph(5, 1)
+    assert search._colouring(graph.adj, _transposed_pairs(graph)[1]) is None
+    monkeypatch.setattr(search, "_coset_classes", _transposed_pairs)
     result = max_family_search(5, 1, mode=ENUMERATE_ALL)
     assert result.certificate is None
     fallback = _fallback(monkeypatch, 5, 1, mode=ENUMERATE_ALL)
@@ -598,7 +628,7 @@ class _BottomUpSearch(search._CliqueSearch):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_top_down_coloring_search_matches_bottom_up_reference(monkeypatch, n):
-    monkeypatch.setattr(search, "_coset_group", lambda n, t: None)
+    monkeypatch.setattr(search, "_coset_classes", lambda graph: None)
     for t in range(n + 1):
         graph = build_intersection_graph(n, t)
         for enumerate_all in (False, True):
@@ -738,7 +768,8 @@ class _RecountingSearch(search._CliqueSearch):
 
     def run(self):
         self._tick()
-        self.certificate, classes = search._coset_classes(self.graph)
+        self.certificate, members = search._coset_classes(self.graph)
+        classes = search._colouring(self.adj, members)
         full = (1 << len(self.adj)) - 1
         self._search(self._coset_node(classes, range(len(classes)), full, 0))
 
@@ -788,8 +819,7 @@ def test_carried_coset_counts_match_recounting_reference(n):
 
 def test_carried_singleton_counts_match_recounting_reference(monkeypatch):
     # the trivial group: n! singleton classes, most of them skipped
-    monkeypatch.setattr(search, "_coset_group",
-                        lambda n, t: ("trivial", [tuple(range(1, n + 1))]))
+    monkeypatch.setattr(search, "_coset_classes", _singletons)
     for n in range(1, 6):
         for t in range(1, n + 1):
             _assert_counts_match_recounting(n, t)
