@@ -16,7 +16,7 @@ import sys
 from . import config
 from .gensets import _pattern_count, up_permutations
 from .intersect import PermFamily, _fixed_point_family
-from .perm import parse_points, point_mask
+from .perm import parse_degree, parse_points, point_mask
 from .report import _FrozenRecord
 
 
@@ -24,7 +24,7 @@ def stabilizer_family(points, n: int, cap: int | None = None) -> PermFamily:
     """All permutations fixing every listed point; size (n - t)!. The points
     are checked with :func:`perm.parse_points` and must be distinct."""
     points = tuple(points)
-    if len(parse_points(points, n)) != len(points):
+    if len(parse_points(points, parse_degree(n))) != len(points):
         raise ValueError("stabilized points must be distinct")
     return up_permutations(points, n, cap)
 
@@ -52,7 +52,7 @@ def _check_f_params(n: int, t: int, i: int) -> None:
         raise ValueError("t must be at least 1")
     if i < 0:
         raise ValueError("i must be nonnegative")
-    if t + 2 * i > n:
+    if t + 2 * i > parse_degree(n):
         raise ValueError(f"window t+2i = {t + 2 * i} exceeds degree {n}")
 
 

@@ -94,7 +94,7 @@ def up_permutations(points: Iterable[int], n: int,
                     cap: int | None = None) -> PermFamily:
     """All degree-n permutations fixing every listed point; size (n - |B|)!.
     The points are checked with :func:`perm.parse_points`."""
-    want = point_mask(parse_points(points, n))
+    want = point_mask(parse_points(points, parse_degree(n)))
     return _fixed_point_family(n, lambda mask: mask & want == want, cap)
 
 
@@ -238,14 +238,14 @@ def fix_prefix_count(n: int, size: int, top: int) -> int:
     """
     if size < 1:
         raise ValueError("pattern size must be at least 1")
-    if not size <= top <= n:
+    if not size <= top <= parse_degree(n):
         raise ValueError(f"need size <= top <= n, got ({size}, {top}, {n})")
     return _pattern_count(n, size, top)
 
 
 def _prefix_masks(points: Iterable[int], n: int) -> tuple[int, int]:
     """The window [1..max(points)] and the pattern, as fixed-point masks."""
-    member = parse_points(points, n)
+    member = parse_points(points, parse_degree(n))
     if not member:
         raise ValueError("pattern must be nonempty")
     return point_mask(range(1, member[-1] + 1)), point_mask(member)

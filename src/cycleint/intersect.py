@@ -6,8 +6,11 @@ pair does (vacuously for at most one member). The intersection graph makes
 that pair relation explicit so maximum families become maximum cliques.
 
 Every walk over S_n reads one cached table per degree, which holds the
-permutations in rank order with their fixed-point bitmasks and cycle ids and
-is the one place the enumeration cap is checked before such a walk.
+permutations in rank order with their fixed-point bitmasks and cycle ids.
+One guard, ``_check_walk``, refuses before any walk what the walk cannot
+do: a bad degree, bitsets beyond memory, a negative t, a degree beyond the
+enumeration cap. The table lookup runs it; a walk that reads no table runs
+it itself.
 """
 
 from __future__ import annotations
@@ -192,18 +195,10 @@ class _SnTable:
 _build_sn_table = functools.cache(_SnTable)
 
 
-def _check_enumeration_cap(n: int, cap: int | None = None) -> None:
-    """Refuse a bad degree, then a degree beyond the enumeration cap, so a bad
-    degree is never reported as a cap error."""
-    parse_degree(n)
-    limit = config.enumeration_cap(cap)
-    if n > limit:
-        raise ValueError(f"degree {n} exceeds enumeration cap {limit}")
-
-
-def _sn_table(n: int, cap: int | None = None) -> _SnTable:
-    """The table of S_n, built on first use, behind the enumeration cap."""
-    _check_enumeration_cap(n, cap)
+def _sn_table(n: int, cap: int | None = None, t: int = 0,
+              rows: bool = False) -> _SnTable:
+    """The table of S_n, built on first use, behind ``_check_walk``."""
+    _check_walk(n, t, cap, rows)
     return _build_sn_table(n)
 
 
@@ -250,7 +245,7 @@ _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max",
 def _memory_limit() -> int:
     """Bytes this process may use: the smaller of physical memory and the
     cgroup memory limit, where one of ``_CGROUP_LIMITS`` can be read. Read
-    once per process: every maximality question checks it."""
+    once per process: the guard of every walk of S_n checks it."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for path in _CGROUP_LIMITS:
         try:
@@ -268,17 +263,30 @@ def _cycle_count(n: int) -> int:
     return sum(math.comb(n, k) * math.factorial(k - 1) for k in range(1, n + 1))
 
 
-def _refuse_beyond_memory(n: int, cap: int | None, what: str, bitsets) -> None:
-    """Before S_n is walked, refuse ``bitsets(n)`` bitsets of n! bits that
-    would not fit in ``_memory_limit()``; a degree above the enumeration cap
-    is left to the table, so that the cap error is the one reported."""
-    if parse_degree(n) > config.enumeration_cap(cap):
-        return
-    need = bitsets(n) * math.factorial(n) // 8
-    have = _memory_limit()
-    if need > have:
-        raise ValueError(f"degree {n}: {what} need {need} bytes, more than the "
-                         f"{have} bytes this process may use")
+def _check_walk(n: int, t: int = 0, cap: int | None = None,
+                rows: bool = False) -> None:
+    """Refuse, before S_n is walked, in this order: a bad degree; at or below
+    the enumeration cap, the bitsets of n! bits the walk holds beyond
+    ``_memory_limit()``, which are n! adjacency rows with ``rows`` and, at
+    t > 0, one per distinct cycle (about 5.7 GB at n = 9); a negative t; a
+    degree beyond the enumeration cap. So a bad degree is never reported as
+    a cap error, nor a degree above the cap as a memory error."""
+    parse_degree(n)
+    limit = config.enumeration_cap(cap)
+    if n <= limit:
+        held = {}
+        if rows:
+            held["the adjacency rows"] = math.factorial(n)
+        if t > 0:
+            held["the per-cycle bitsets"] = _cycle_count(n)
+        need = sum(held.values()) * math.factorial(n) // 8
+        have = _memory_limit()
+        if need > have:
+            raise ValueError(f"degree {n}: {' and '.join(held)} need {need} bytes, "
+                             f"more than the {have} bytes this process may use")
+    _check_t(t)
+    if n > limit:
+        raise ValueError(f"degree {n} exceeds enumeration cap {limit}")
 
 
 def _check_t(t: int) -> None:
@@ -286,19 +294,10 @@ def _check_t(t: int) -> None:
         raise ValueError(f"t must be at least 0, got {t}")
 
 
-def _check_index(n: int, t: int) -> None:
-    """Refuse, before S_n is walked, what ``_neighbour_index`` cannot build: a
-    bad degree, per-cycle bitsets beyond memory (about 5.7 GB at n = 9), a
-    negative t, a degree beyond the enumeration cap; in that order."""
-    _refuse_beyond_memory(n, None, "the per-cycle bitsets", _cycle_count)
-    _check_t(t)
-    _check_enumeration_cap(n)
-
-
 @functools.lru_cache(maxsize=1)
 def _neighbour_index(n: int, t: int):
-    """``_neighbourhoods`` of the table of S_n, for callers that have run
-    ``_check_index``. Only the last index built is kept, about 1 MB at n = 7."""
+    """``_neighbourhoods`` of the table of S_n, for callers that have looked
+    the table up at t. Only the last index built is kept, about 1 MB at n = 7."""
     return _neighbourhoods(_sn_table(n), t)
 
 
@@ -306,11 +305,8 @@ def build_intersection_graph(n: int, t: int,
                              cap: int | None = None) -> IntersectionGraph:
     """Materialize the graph; refuses degrees beyond the enumeration cap and,
     before S_n is walked, degrees whose n! rows of n! bits, with the
-    per-cycle bitsets they are built from, would not fit in memory."""
-    _refuse_beyond_memory(n, cap, "the adjacency rows and the per-cycle bitsets",
-                          lambda n: math.factorial(n) + _cycle_count(n))
-    _check_t(t)
-    table = _sn_table(n, cap)
+    per-cycle bitsets they are built from at t > 0, would not fit in memory."""
+    table = _sn_table(n, cap, t, rows=True)
     adj = tuple(map(_neighbourhoods(table, t), range(len(table.perms))))
     return IntersectionGraph(n, t, table.perms, adj)
 
@@ -346,11 +342,11 @@ def maximalize(family: PermFamily, t: int) -> PermFamily:
 def _joinable(family: PermFamily, t: int) -> int | None:
     """The outside rows sharing t cycles with every member, as a bitset, or
     None when the family is not t-cycle-intersecting."""
-    _check_index(family.n, t)
+    table = _sn_table(family.n, t=t)
     neighbours = _neighbour_index(family.n, t)
     ranks = [rank(p) for p in family]
     family_mask = sum(1 << r for r in ranks)
-    cand = (1 << len(_sn_table(family.n).perms)) - 1
+    cand = (1 << len(table.perms)) - 1
     for r in ranks:
         row = neighbours(r)
         # the family is t-cycle-intersecting iff each member's row, with the

@@ -39,11 +39,10 @@ from .gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
                       fix_system, generating_set_surgery, is_disjoint_union,
                       is_generating_set, is_t_intersecting_system,
                       left_shift_minimals, reduced_fix_prefix_family)
-from .intersect import (IntersectionGraph, PermFamily, _check_enumeration_cap,
-                        _check_index, _check_t, _joinable, _sn_table,
-                        build_intersection_graph, is_stabilizer_of_points,
-                        is_t_cycle_intersecting_pair, maximalize,
-                        stabilized_points)
+from .intersect import (IntersectionGraph, PermFamily, _check_t, _check_walk,
+                        _joinable, _sn_table, build_intersection_graph,
+                        is_stabilizer_of_points, is_t_cycle_intersecting_pair,
+                        maximalize, stabilized_points)
 from .perm import all_permutations, parse_degree
 from .report import HYPOTHESIS_NOT_MET, PASS, VerificationReport, _Record
 from .transform import (compress_closure, fix_closure, is_compressed_family,
@@ -312,7 +311,7 @@ def _search_with_graph(n: int, t: int, mode: str, time_budget: float | None,
     _check_budget(time_budget)
     _check_t(t)
     limit = config.search_cap(cap)
-    if n > limit + 1:
+    if parse_degree(n) > limit + 1:
         raise ValueError(f"degree {n} exceeds search cap {limit}")
     if n == limit + 1 and time_budget is None:
         raise ValueError(
@@ -340,7 +339,10 @@ def _search_with_graph(n: int, t: int, mode: str, time_budget: float | None,
 
 
 def naive_max_family_size(n: int, t: int) -> int:
-    """Independent brute-force oracle: recursion over the family lattice."""
+    """Independent brute-force oracle: recursion over the family lattice.
+    Before S_n is walked it is refused wherever the neighbour index at t
+    would be, although it holds no bitsets itself."""
+    _check_walk(n, t)
     perms = list(all_permutations(n))
     best = 0
 
@@ -361,7 +363,7 @@ def conjugacy_representatives(witnesses, n: int) -> list[PermFamily]:
     """Canonical representative of each conjugacy class of witness families,
     the one whose sorted images are least; refuses degrees beyond the
     enumeration cap and witnesses of another degree."""
-    _check_enumeration_cap(n)
+    _check_walk(n)
     # (1 2) and the n-cycle generate S_n (S_1 needs none), so closing under
     # conjugation by them reaches each witness's whole orbit. g . sigma . g^-1
     # maps y to g(sigma(g^-1(y))); each g is paired with the 0-based positions
@@ -446,7 +448,7 @@ def verify_max_bound(n: int, t: int, time_budget: float | None = None,
 def verify_counterexample_regime(n: int, t: int) -> VerificationReport:
     """For t+3 <= n < 2t+1 the window family F_1 matches or beats the
     stabilizer, strictly except at the documented t = 3 boundary."""
-    if not t + 3 <= n < 2 * t + 1:
+    if not t + 3 <= parse_degree(n) < 2 * t + 1:
         raise ValueError(f"need t+3 <= n < 2t+1, got (n={n}, t={t})")
     _refuse_unprintable_sizes(n, t, (0, 1))
     rep = VerificationReport("counterexample")
@@ -508,10 +510,9 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    _check_index(n, t)  # refuse before S_n is walked
+    table = _sn_table(n, t=t)  # rank order, so a draw is unrank(n, randrange(n!))
     rep = VerificationReport("pipeline")
     rng = random.Random(seed)
-    table = _sn_table(n)  # rank order, so a draw is unrank(n, randrange(n!))
     why_unassessed = {
         "disjoint-union-decomposition": "star generating set contains the empty set",
         "stabilizer-pullback": f"n={n} < 2t+1={2 * t + 1}",

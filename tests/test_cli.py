@@ -285,6 +285,27 @@ def test_graph_build_counts_the_per_cycle_bitsets(monkeypatch, capsys):
         "error: degree 5: the adjacency rows and the per-cycle bitsets need 3135 bytes, ")
 
 
+def test_t_zero_counts_the_adjacency_rows_alone(monkeypatch, capsys):
+    # a t = 0 walk builds no per-cycle bitsets: the graph holds its 120 rows of
+    # 120 bits, and the neighbour index holds no bitset at all
+    from cycleint import intersect
+
+    rows = math.factorial(5) ** 2 // 8  # 1800
+    monkeypatch.setattr(intersect, "_memory_limit", lambda: rows)
+    assert main(["search", "--n", "5", "--t", "0"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(intersect, "_memory_limit", lambda: rows - 1)
+    _refuse_to_build(monkeypatch)
+    assert main(["search", "--n", "5", "--t", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: degree 5: the adjacency rows need {rows} bytes, "
+        f"more than the {rows - 1} bytes this process may use\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(intersect, "_memory_limit", lambda: 0)
+    assert main(["verify", "--suite", "pipeline", "--n", "5", "--t", "0",
+                 "--trials", "1", "--seed", "1"]) == 0
+
+
 def test_pipeline_refuses_an_index_beyond_the_memory_limit(monkeypatch, capsys):
     # one n!-bit bitset per distinct cycle of S_n: 5 + 10 + 20 + 30 + 24 at n = 5
     from cycleint import intersect

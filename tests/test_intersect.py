@@ -127,7 +127,7 @@ def test_t_zero_reads_no_cycle_ids(monkeypatch):
         def cycle_ids(self):
             raise AssertionError("a t = 0 row read the cycle ids")
 
-    monkeypatch.setattr(intersect, "_sn_table", lambda n, cap=None: Blind())
+    monkeypatch.setattr(intersect, "_sn_table", lambda *args, **kwargs: Blind())
     intersect._neighbour_index.cache_clear()
     full = (1 << 120) - 1
     assert build_intersection_graph(5, 0).adj == tuple(full ^ 1 << r for r in range(120))

@@ -1,7 +1,8 @@
 import pytest
 
-from cycleint.extremal import f_family, stabilizer_family
-from cycleint.gensets import (SetSystem, fix_prefix_family, left_shift_set,
+from cycleint.extremal import compare_extremal, f_family, stabilizer_family
+from cycleint.gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
+                              left_shift_set, reduced_fix_prefix_family,
                               up_permutations)
 from cycleint.intersect import PermFamily, build_intersection_graph
 from cycleint.perm import (Permutation, all_permutations, compose, conjugate,
@@ -9,7 +10,7 @@ from cycleint.perm import (Permutation, all_permutations, compose, conjugate,
                            parse_points, point_mask, rank, unrank)
 from cycleint.search import (conjugacy_representatives, max_family_search,
                              naive_max_family_size, pipeline_roundtrip,
-                             verify_max_bound)
+                             verify_counterexample_regime, verify_max_bound)
 from cycleint.transform import compress_perm, ij_fix_perm
 
 
@@ -54,7 +55,7 @@ def test_parse_degree():
             parse_degree(bad)
 
 
-@pytest.mark.parametrize("n", [2.9, True, 0, -1])
+@pytest.mark.parametrize("n", [2.9, True, 0, -1, "3", None])
 @pytest.mark.parametrize("call", [
     lambda n: identity(n),
     lambda n: from_cycles(n, []),
@@ -74,9 +75,16 @@ def test_parse_degree():
     lambda n: verify_max_bound(n, 1),
     lambda n: naive_max_family_size(n, 1),
     lambda n: conjugacy_representatives([], n),
-    lambda n: pipeline_roundtrip(n, 1, 1, 1)])
+    lambda n: pipeline_roundtrip(n, 1, 1, 1),
+    lambda n: compare_extremal(n, 1),
+    lambda n: verify_counterexample_regime(n, 1),
+    lambda n: reduced_fix_prefix_family((1,), n),
+    lambda n: up_permutations((1,), n),
+    lambda n: stabilizer_family((1,), n),
+    lambda n: fix_prefix_count(n, 1, 1)])
 def test_every_degree_is_parsed(call, n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match='^("n" must be an integer|degree must be at least 1)'):
         call(n)
 
 

@@ -28,6 +28,20 @@ def test_branch_and_bound_agrees_with_naive_oracle():
                     == naive_max_family_size(n, t)), (n, t)
 
 
+def test_naive_oracle_refuses_what_the_solver_refuses(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"walked S_{n}")
+
+    monkeypatch.setattr(search, "all_permutations", refuse)
+    for call in (lambda: naive_max_family_size(3, -1),
+                 lambda: max_family_search(3, -1)):
+        with pytest.raises(ValueError, match="^t must be at least 0, got -1$"):
+            call()
+    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "3")
+    with pytest.raises(ValueError, match="^degree 4 exceeds enumeration cap 3$"):
+        naive_max_family_size(4, 1)
+
+
 def test_known_small_answers():
     # frozen from the naive oracle
     expected = {(1, 1): 1, (2, 1): 1, (2, 2): 1,
