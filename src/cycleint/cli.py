@@ -18,7 +18,8 @@ from .extremal import compare_extremal, quad_inequality_check
 from .gensets import (certify_generating_set, check_pair_overlap_t_plus_one,
                       disjoint_union_check, fix_system, is_generating_set,
                       is_t_intersecting_system)
-from .intersect import PermFamily, _check_t, maximalize
+from .intersect import (PermFamily, _check_t, build_intersection_graph,
+                        maximalize)
 from .report import VerificationReport
 from .transform import compress_closure, fix_closure
 
@@ -164,7 +165,11 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_search(args) -> int:
     mode = search.ENUMERATE_ALL if args.enumerate_all else search.SIZE_ONLY
-    result, graph = search._search_with_graph(args.n, args.t, mode, args.budget)
+    graph = None
+    if args.export_graph:  # built outside the budget, once the budget is checked
+        search._check_budget(args.budget)
+        graph = build_intersection_graph(args.n, args.t)
+    result = search.max_family_search(args.n, args.t, mode, args.budget, graph=graph)
     payload = result.to_json_dict()
     if args.canonical_witnesses:
         reps = search.conjugacy_representatives(result.witnesses, args.n)

@@ -15,7 +15,7 @@ import sys
 
 from . import config
 from .gensets import _pattern_count, up_permutations
-from .intersect import PermFamily, _fixed_point_family
+from .intersect import PermFamily, _check_t, _fixed_point_family
 from .perm import parse_degree, parse_points, point_mask
 from .report import _FrozenRecord
 
@@ -48,7 +48,7 @@ def f_family_size(n: int, t: int, i: int) -> int:
 
 
 def _check_f_params(n: int, t: int, i: int) -> None:
-    if t < 1:
+    if _check_t(t) < 1:
         raise ValueError("t must be at least 1")
     if i < 0:
         raise ValueError("i must be nonnegative")
@@ -58,7 +58,7 @@ def _check_f_params(n: int, t: int, i: int) -> None:
 
 def f1_closed_form(t: int) -> int:
     """|F_1| at degree n = 2t, in closed form: (t-2)! * (t^2 - 3)."""
-    if t < 2:
+    if _check_t(t) < 2:
         raise ValueError("closed form needs t >= 2")
     return math.factorial(t - 2) * (t * t - 3)
 
@@ -126,6 +126,7 @@ def _factorial_exceeds_digits(m: int, digits: int) -> bool:
 
 def quad_value(n: int, t: int, delta: int) -> int:
     """The discriminating quadratic; the surgery gains size iff it is <= 0."""
+    _check_t(t)
     return delta * delta + delta * (2 + 2 * t - 2 * n) + 4 * t - 4
 
 
@@ -143,8 +144,9 @@ class QuadCheck(_FrozenRecord):
 
 def quad_inequality_check(n: int, t: int) -> QuadCheck:
     """Evaluate the quadratic for every gap delta in [2, n-t]."""
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be positive")
+    parse_degree(n)
+    if _check_t(t) < 1:
+        raise ValueError("t must be at least 1")
     even = []
     odd = []
     for delta in range(2, n - t + 1):

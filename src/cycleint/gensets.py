@@ -323,6 +323,7 @@ def disjoint_union_check(family: PermFamily, system: SetSystem, t: int) -> Check
     t-cycle-intersecting and maximal. Unmet hypotheses are reported
     distinctly from a failed partition.
     """
+    _check_t(t)
     if not family.members:
         return report.hypothesis_not_met(detail="empty family")
     if any(not s for s in system):
@@ -396,7 +397,7 @@ def partition_by_max_element(system: SetSystem, t: int) -> TopPartition:
     attaining ones by cardinality. Rejects systems whose largest element is
     already t: there is nothing to take apart."""
     s_plus = system_max_element(system)
-    delta = s_plus - t
+    delta = s_plus - _check_t(t)
     if delta <= 0:
         raise ValueError(f"largest element {s_plus} does not exceed t={t}")
     top_sets = [s for s in system if max(s) == s_plus]

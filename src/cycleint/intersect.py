@@ -89,12 +89,13 @@ class PermFamily:
 def is_t_cycle_intersecting_pair(sigma: Permutation, pi: Permutation, t: int) -> bool:
     if sigma.n != pi.n:
         raise ValueError(f"degree mismatch: {sigma.n} vs {pi.n}")
-    if t <= 0:
+    if _check_t(t) == 0:
         return True
     return len(sigma.cycle_set() & pi.cycle_set()) >= t
 
 
 def is_family_t_cycle_intersecting(family: PermFamily, t: int) -> bool:
+    _check_t(t)
     members = family.members
     for i in range(len(members)):
         ci = members[i].cycle_set()
@@ -129,10 +130,9 @@ def is_stabilizer_of_points(family: PermFamily, t: int) -> bool:
     A family of size (n-t)! whose members share >= t fixed points is contained
     in, hence equal to, the stabilizer of any t of those points.
     """
-    n = family.n
-    if not 0 <= t <= n:
+    if _check_t(t) > family.n:
         return False
-    if len(family) != math.factorial(n - t):
+    if len(family) != math.factorial(family.n - t):
         return False
     return len(stabilized_points(family)) >= t
 
@@ -265,13 +265,14 @@ def _cycle_count(n: int) -> int:
 
 def _check_walk(n: int, t: int = 0, cap: int | None = None,
                 rows: bool = False) -> None:
-    """Refuse, before S_n is walked, in this order: a bad degree; at or below
-    the enumeration cap, the bitsets of n! bits the walk holds beyond
-    ``_memory_limit()``, which are n! adjacency rows with ``rows`` and, at
-    t > 0, one per distinct cycle (about 5.7 GB at n = 9); a negative t; a
-    degree beyond the enumeration cap. So a bad degree is never reported as
-    a cap error, nor a degree above the cap as a memory error."""
+    """Refuse, before S_n is walked, in this order: a bad degree; a bad t;
+    at or below the enumeration cap, the bitsets of n! bits the walk holds
+    beyond ``_memory_limit()``, which are n! adjacency rows with ``rows``
+    and, at t > 0, one per distinct cycle (about 5.7 GB at n = 9); a degree
+    beyond the enumeration cap. So a bad degree is never reported as a cap
+    error, nor a degree above the cap as a memory error."""
     parse_degree(n)
+    _check_t(t)
     limit = config.enumeration_cap(cap)
     if n <= limit:
         held = {}
@@ -284,14 +285,18 @@ def _check_walk(n: int, t: int = 0, cap: int | None = None,
         if need > have:
             raise ValueError(f"degree {n}: {' and '.join(held)} need {need} bytes, "
                              f"more than the {have} bytes this process may use")
-    _check_t(t)
     if n > limit:
         raise ValueError(f"degree {n} exceeds enumeration cap {limit}")
 
 
-def _check_t(t: int) -> None:
+def _check_t(t: int) -> int:
+    """t, which must be an ``int`` (a ``bool`` is not) and at least 0. The
+    one check of a caller's t."""
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise ValueError(f'"t" must be an integer, got {t!r}')
     if t < 0:
         raise ValueError(f"t must be at least 0, got {t}")
+    return t
 
 
 @functools.lru_cache(maxsize=1)

@@ -294,33 +294,20 @@ def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
                       graph: IntersectionGraph | None = None) -> CliqueSearchResult:
     """Exact maximum t-cycle-intersecting family size over S_n.
 
-    Degrees up to the search cap run unconditionally; one degree above the
-    cap is admitted only with a time budget. A budget expiry returns the best
-    clique found so far with ``complete=False``, never a silent truncation.
+    The graph is built, inside the budget, with ``cap`` as the enumeration
+    cap override, unless it is supplied as ``graph``; then ``cap`` is unused.
+    A degree beyond the cap is refused before S_n is walked. A budget expiry
+    returns the best clique found so far with ``complete=False``, never a
+    silent truncation.
     """
-    return _search_with_graph(n, t, mode, time_budget, cap, graph)[0]
-
-
-def _search_with_graph(n: int, t: int, mode: str, time_budget: float | None,
-                       cap: int | None = None, graph: IntersectionGraph | None = None
-                       ) -> tuple[CliqueSearchResult, IntersectionGraph]:
-    """:func:`max_family_search` and the graph it searched, built behind its
-    cap check unless supplied."""
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValueError(f"unknown mode {mode!r}")
     _check_budget(time_budget)
     _check_t(t)
-    limit = config.search_cap(cap)
-    if parse_degree(n) > limit + 1:
-        raise ValueError(f"degree {n} exceeds search cap {limit}")
-    if n == limit + 1 and time_budget is None:
-        raise ValueError(
-            f"degree {n} is above the search cap {limit}; supply a time budget")
     start = time.monotonic()
     if graph is None:
-        # the search cap already authorized this degree, so let the graph build
-        graph = build_intersection_graph(n, t, cap=n)
-    elif (graph.n, graph.t) != (n, t):
+        graph = build_intersection_graph(n, t, cap)
+    elif (graph.n, graph.t) != (parse_degree(n), t):
         raise ValueError("supplied graph does not match (n, t)")
     deadline = None if time_budget is None else start + time_budget
     search = _CliqueSearch(graph, mode == ENUMERATE_ALL, deadline)
@@ -335,7 +322,7 @@ def _search_with_graph(n: int, t: int, mode: str, time_budget: float | None,
     return CliqueSearchResult(
         n=n, t=t, mode=mode, max_size=search.best, witnesses=tuple(witnesses),
         complete=complete, nodes=search.nodes, cutoffs=search.cutoffs,
-        elapsed=time.monotonic() - start, certificate=search.certificate), graph
+        elapsed=time.monotonic() - start, certificate=search.certificate)
 
 
 def naive_max_family_size(n: int, t: int) -> int:
@@ -438,7 +425,7 @@ def verify_max_bound(n: int, t: int, time_budget: float | None = None,
                  len(result.witnesses) == expected_count,
                  witness={"expected": expected_count, "got": len(result.witnesses)})
     mismatched = [w for w in result.witnesses
-                  if w != stabilizer_family(stabilized_points(w)[:t], n, cap=n)]
+                  if w != stabilizer_family(stabilized_points(w)[:t], n, cap)]
     rep.add_bool("witnesses-equal-their-point-stabilizers", params,
                  not mismatched,
                  witness=mismatched[0].to_json_dict() if mismatched else None)
@@ -448,7 +435,7 @@ def verify_max_bound(n: int, t: int, time_budget: float | None = None,
 def verify_counterexample_regime(n: int, t: int) -> VerificationReport:
     """For t+3 <= n < 2t+1 the window family F_1 matches or beats the
     stabilizer, strictly except at the documented t = 3 boundary."""
-    if not t + 3 <= parse_degree(n) < 2 * t + 1:
+    if not _check_t(t) + 3 <= parse_degree(n) < 2 * t + 1:
         raise ValueError(f"need t+3 <= n < 2t+1, got (n={n}, t={t})")
     _refuse_unprintable_sizes(n, t, (0, 1))
     rep = VerificationReport("counterexample")

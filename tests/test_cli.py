@@ -204,7 +204,7 @@ def test_search_graph_export(tmp_path):
 
 
 def test_search_exports_the_graph_it_searched(tmp_path, monkeypatch, capsys):
-    from cycleint import intersect, search
+    from cycleint import cli, intersect, search
 
     builds = []
     build = intersect.build_intersection_graph
@@ -213,8 +213,8 @@ def test_search_exports_the_graph_it_searched(tmp_path, monkeypatch, capsys):
         builds.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(intersect, "build_intersection_graph", counted)
-    monkeypatch.setattr(search, "build_intersection_graph", counted)
+    for module in (intersect, search, cli):
+        monkeypatch.setattr(module, "build_intersection_graph", counted)
     edges = tmp_path / "graph.txt"
     assert main(["search", "--n", "4", "--t", "2", "--export-graph", str(edges)]) == 0
     assert len(builds) == 1
@@ -223,12 +223,12 @@ def test_search_exports_the_graph_it_searched(tmp_path, monkeypatch, capsys):
     def refuse(n):
         raise AssertionError(f"walked S_{n}")
 
-    monkeypatch.delenv(config.SEARCH_CAP_ENV, raising=False)
+    monkeypatch.delenv(config.ENUMERATION_CAP_ENV, raising=False)
     monkeypatch.setattr(intersect, "_build_sn_table", refuse)
     capsys.readouterr()
     edges = tmp_path / "graph9.txt"
     assert main(["search", "--n", "9", "--t", "1", "--export-graph", str(edges)]) == 2
-    assert capsys.readouterr().err == "error: degree 9 exceeds search cap 6\n"
+    assert capsys.readouterr().err == "error: degree 9 exceeds enumeration cap 7\n"
     assert not edges.exists()
 
 
@@ -239,7 +239,6 @@ def test_search_refuses_rows_beyond_physical_memory(monkeypatch, capsys):
         raise AssertionError(f"walked S_{n}")
 
     monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "10")
-    monkeypatch.setenv(config.SEARCH_CAP_ENV, "10")
     monkeypatch.setattr(intersect, "all_permutations", refuse)
     assert main(["search", "--n", "10", "--t", "1"]) == 2
     # rows and 1 112 083 per-cycle bitsets of 10! bits: about 2.15 TB
@@ -504,8 +503,7 @@ ENUMERATION_CAP_4 = (config.ENUMERATION_CAP_ENV, "4", "exceeds enumeration cap 4
                           "--trials", "2", "--seed", "1"]),
     (*ENUMERATION_CAP_4, ["verify", "--suite", "surgery"]),
     (*ENUMERATION_CAP_4, ["verify", "--suite", "all", "--n-max", "5", "--seed", "1"]),
-    (config.SEARCH_CAP_ENV, "4", "above the search cap 4",
-     ["verify", "--suite", "all", "--n-max", "5", "--seed", "1"]),
+    (*ENUMERATION_CAP_4, ["search", "--n", "5", "--t", "1"]),
 ])
 def test_cap_env_reaches_every_walk(monkeypatch, capsys, stab_family_file,
                                     env, value, message, argv):
@@ -551,7 +549,7 @@ def test_resource_errors_exit_2(monkeypatch, capsys, error):
     def exhausted(*args, **kwargs):
         raise error()
 
-    monkeypatch.setattr(search, "_search_with_graph", exhausted)
+    monkeypatch.setattr(search, "max_family_search", exhausted)
     assert main(["search", "--n", "4", "--t", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error.__name__}: ")

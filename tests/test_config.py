@@ -5,7 +5,6 @@ from cycleint import config
 
 def test_defaults():
     assert config.enumeration_cap() == config.DEFAULT_ENUMERATION_CAP == 7
-    assert config.search_cap() == config.DEFAULT_SEARCH_CAP == 6
 
 
 def test_override_argument_wins(monkeypatch):
@@ -15,10 +14,10 @@ def test_override_argument_wins(monkeypatch):
 
 
 def test_env_values_validated(monkeypatch):
-    monkeypatch.setenv(config.SEARCH_CAP_ENV, "zero")
-    with pytest.raises(ValueError):
-        config.search_cap()
-    monkeypatch.setenv(config.SEARCH_CAP_ENV, "0")
-    with pytest.raises(ValueError):
-        config.search_cap()
+    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "zero")
+    with pytest.raises(ValueError, match="must be an integer, got 'zero'"):
+        config.enumeration_cap()
+    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "0")
+    with pytest.raises(ValueError, match="must be positive, got 0"):
+        config.enumeration_cap()
 

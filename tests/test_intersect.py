@@ -1,10 +1,13 @@
+import inspect
 import itertools
 import math
 import os
 import random
+import re
 
 import pytest
 
+import cycleint
 from cycleint import config, extremal, gensets, intersect
 from cycleint.extremal import f_family, stabilizer_family
 from cycleint.gensets import (SetSystem, fix_prefix_family, is_disjoint_union,
@@ -402,3 +405,51 @@ def test_memory_limit_reads_the_cgroup_limit_where_there_is_one(monkeypatch, tmp
         assert intersect._memory_limit() == 2000  # not read again
     finally:
         intersect._memory_limit.cache_clear()
+
+
+_FAMILY = PermFamily(4, [identity(4)])
+_SYSTEM = SetSystem(4, [(1, 2), (1, 3)])
+
+# every public function that takes t, with its other arguments valid
+_CALLS_WITH_T = {
+    "build_intersection_graph": lambda t: cycleint.build_intersection_graph(4, t),
+    "check_pair_overlap_t_plus_one":
+        lambda t: cycleint.check_pair_overlap_t_plus_one(_SYSTEM, t),
+    "compare_extremal": lambda t: cycleint.compare_extremal(5, t),
+    "disjoint_union_check": lambda t: cycleint.disjoint_union_check(_FAMILY, _SYSTEM, t),
+    "f1_closed_form": lambda t: cycleint.f1_closed_form(t),
+    "f_family": lambda t: cycleint.f_family(5, t, 1),
+    "f_family_size": lambda t: cycleint.f_family_size(5, t, 1),
+    "generating_set_surgery": lambda t: cycleint.generating_set_surgery(_SYSTEM, t, 2),
+    "is_family_t_cycle_intersecting":
+        lambda t: cycleint.is_family_t_cycle_intersecting(_FAMILY, t),
+    "is_maximal": lambda t: cycleint.is_maximal(_FAMILY, t),
+    "is_stabilizer_of_points": lambda t: cycleint.is_stabilizer_of_points(_FAMILY, t),
+    "is_t_cycle_intersecting_pair":
+        lambda t: cycleint.is_t_cycle_intersecting_pair(identity(4), identity(4), t),
+    "is_t_intersecting_system": lambda t: cycleint.is_t_intersecting_system(_SYSTEM, t),
+    "max_family_search": lambda t: cycleint.max_family_search(4, t),
+    "maximalize": lambda t: cycleint.maximalize(_FAMILY, t),
+    "naive_max_family_size": lambda t: cycleint.naive_max_family_size(3, t),
+    "partition_by_max_element": lambda t: cycleint.partition_by_max_element(_SYSTEM, t),
+    "pipeline_roundtrip": lambda t: cycleint.pipeline_roundtrip(4, t, 1, 1),
+    "quad_inequality_check": lambda t: cycleint.quad_inequality_check(5, t),
+    "quad_value": lambda t: cycleint.quad_value(5, t, 2),
+    "stabilizer_pullback_check":
+        lambda t: cycleint.stabilizer_pullback_check(_FAMILY, _FAMILY, t),
+    "verify_counterexample_regime": lambda t: cycleint.verify_counterexample_regime(7, t),
+    "verify_max_bound": lambda t: cycleint.verify_max_bound(4, t),
+}
+
+
+def test_every_public_function_that_takes_t_is_listed():
+    assert set(_CALLS_WITH_T) == {
+        name for name, value in vars(cycleint).items()
+        if inspect.isfunction(value) and "t" in inspect.signature(value).parameters}
+
+
+@pytest.mark.parametrize("t", [True, 1.5, "1", None])
+@pytest.mark.parametrize("name", sorted(_CALLS_WITH_T))
+def test_every_t_is_parsed(name, t):
+    with pytest.raises(ValueError, match=f'^"t" must be an integer, got {re.escape(repr(t))}$'):
+        _CALLS_WITH_T[name](t)

@@ -1,6 +1,7 @@
 import pytest
 
-from cycleint.extremal import compare_extremal, f_family, stabilizer_family
+from cycleint.extremal import (compare_extremal, f_family, quad_inequality_check,
+                               stabilizer_family)
 from cycleint.gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
                               left_shift_set, reduced_fix_prefix_family,
                               up_permutations)
@@ -81,7 +82,8 @@ def test_parse_degree():
     lambda n: reduced_fix_prefix_family((1,), n),
     lambda n: up_permutations((1,), n),
     lambda n: stabilizer_family((1,), n),
-    lambda n: fix_prefix_count(n, 1, 1)])
+    lambda n: fix_prefix_count(n, 1, 1),
+    lambda n: quad_inequality_check(n, 1)])
 def test_every_degree_is_parsed(call, n):
     with pytest.raises(ValueError,
                        match='^("n" must be an integer|degree must be at least 1)'):

@@ -132,11 +132,19 @@ def test_search_accepts_prebuilt_graph():
         max_family_search(4, 1, graph=graph)
 
 
-def test_search_cap_rules():
-    with pytest.raises(ValueError, match="cap"):
-        max_family_search(8, 2)
-    with pytest.raises(ValueError, match="budget"):
-        max_family_search(7, 2)  # one above the cap needs a budget
+def test_search_cap_rules(monkeypatch):
+    # the enumeration cap is the search's only degree limit: n = 8 is refused
+    # before S_8 is walked, and n = 7 needs no budget
+    def refuse(n):
+        raise AssertionError(f"walked S_{n}")
+
+    monkeypatch.delenv(config.ENUMERATION_CAP_ENV, raising=False)
+    with monkeypatch.context() as patched:
+        patched.setattr(intersect, "_build_sn_table", refuse)
+        with pytest.raises(ValueError, match="^degree 8 exceeds enumeration cap 7$"):
+            max_family_search(8, 2)
+    result = max_family_search(7, 3)
+    assert result.complete and result.max_size == 24
     with pytest.raises(ValueError):
         max_family_search(5, 2, mode="fastest")
 

@@ -1,9 +1,11 @@
 """Every walk of S_n in ``cycleint`` passes one guard, ``intersect._check_walk``.
 The cached table is read only through ``_sn_table``, which runs the guard; the
 memory limit is read only by the guard; and S_n is enumerated only by the
-table and by the naive oracle, which runs the guard itself. The check is by
-name on the syntax tree, like the one in ``test_public_api``, so a new walk
-of S_n cannot skip the guard unnoticed."""
+table and by the naive oracle, which runs the guard itself. The guard's cap,
+``config.enumeration_cap``, is the one degree limit: only ``config`` reads the
+environment, and no call sets a cap of its own. The check is by name on the
+syntax tree, like the one in ``test_public_api``, so a new walk of S_n, a
+second cap or a way round the cap cannot come in unnoticed."""
 
 import ast
 from pathlib import Path
@@ -45,3 +47,28 @@ def test_walks_that_read_no_table_run_the_guard_themselves():
     assert _readers("_check_walk") == {"intersect._sn_table",
                                        "search.conjugacy_representatives",
                                        "search.naive_max_family_size"}
+
+
+def test_only_config_reads_the_environment():
+    assert _readers("environ") | _readers("getenv") == {"config.enumeration_cap"}
+
+
+def test_no_call_sets_a_cap_of_its_own():
+    # a cap passed by keyword is the caller's own cap, handed on
+    invented = sorted(
+        f"{path.stem}: {ast.unparse(node)}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg == "cap" and not (isinstance(keyword.value, ast.Name)
+                                         and keyword.value.id == "cap"))
+    assert not invented
+
+
+def test_only_the_guard_and_the_cross_checks_read_the_cap():
+    # the cross-checks ask whether a degree may be enumerated, and walk only
+    # through the guard; nothing else reads ``config``
+    readers = {"intersect._check_walk", "search.verify_counterexample_regime",
+               "extremal.compare_extremal"}
+    assert _readers("enumeration_cap") == _readers("config") == readers
