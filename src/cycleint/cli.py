@@ -33,6 +33,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
 def _load_family(path: str) -> PermFamily:

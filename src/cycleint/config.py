@@ -17,8 +17,11 @@ ENUMERATION_CAP_ENV = "CYCLEINT_ENUMERATION_CAP"
 
 def enumeration_cap(override: int | None = None) -> int:
     """Largest degree for which S_n may be fully materialized: the override
-    if given, else the environment variable, else the default."""
+    if given, which must be an ``int`` (a ``bool`` is not), else the
+    environment variable, else the default."""
     if override is not None:
+        if not isinstance(override, int) or isinstance(override, bool):
+            raise ValueError(f"enumeration cap must be an integer, got {override!r}")
         if override < 1:
             raise ValueError("enumeration cap must be positive")
         return override

@@ -2,19 +2,19 @@
 
 The search is exact branch-and-bound maximum clique on the intersection
 graph, with candidates in big-int bitsets: one depth-first loop over an
-explicit stack, with the bound chosen at the root. At t = 1 the left cosets
-of C_n, each read off as the n rotations of a permutation's image tuple, are
-checked to be independent sets covering the graph; they then bound every
-clique by their number, (n-1)!, and each node branches on the coset with the
-fewest live candidates. Those per-coset counts travel down the tree: each
-child copies its parent's and subtracts the candidates its step removes, so
-no node recounts a coset. Every other t, t = 0 included, walks the graph's
-rows in rank order, as built: a greedy coloring of each candidate set, one
-class at a time on bitsets from the highest rank down (BBMC), gives the
-bound. On both paths a child whose candidate set is a clique opens no node:
-the clique shortcut records it whole, so a stabilizer of t points, with its
-(n-t)! members, costs one test instead of a node per member, and at t = 0,
-where the graph is complete, all of S_n is recorded below the root.
+explicit stack, with the colouring chosen at the root. At t = 1 the left
+cosets of C_n, each read off as the n rotations of a permutation's image
+tuple, are checked to be independent sets covering the graph; they then
+bound every clique by their number, (n-1)!, and are a fixed colouring that
+every node branches on from its last class back. Each child inherits the
+classes below the one it branched on, so no node colours or counts. Every
+other t, t = 0 included, walks the graph's rows in rank order, as built: a
+greedy coloring of each candidate set, one class at a time on bitsets from
+the highest rank down (BBMC), gives the bound. On both paths a child whose
+candidate set is a clique opens no node: the clique shortcut records it
+whole, so a stabilizer of t points, with its (n-t)! members, costs one test
+instead of a node per member, and at t = 0, where the graph is complete, all
+of S_n is recorded below the root.
 Enumerate-all pruning keeps branches that can tie the incumbent: the witness
 list is complete and duplicate-free.
 
@@ -93,8 +93,8 @@ def _coset_classes(graph: IntersectionGraph):
     return certificate, classes
 
 
-def _colouring(adj, classes: list[list[int]]) -> list[tuple[int, list[int]]] | None:
-    """``classes`` as (mask, members) if they are a proper colouring of the
+def _colouring(adj, classes: list[list[int]]) -> list[int] | None:
+    """``classes`` as bitsets if they are a proper colouring of the
     graph with rows ``adj``: disjoint, each independent, and together
     covering every vertex, so ``omega <= len(classes)``; else None."""
     coloured = []
@@ -104,15 +104,15 @@ def _colouring(adj, classes: list[list[int]]) -> list[tuple[int, list[int]]] | N
         if covered & mask or any(adj[u] & mask for u in members):
             return None
         covered |= mask
-        coloured.append((mask, members))
+        coloured.append(mask)
     return coloured if covered == (1 << len(adj)) - 1 else None
 
 
 class _CliqueSearch:
     """Exact maximum clique search: one depth-first loop over an explicit
-    stack, with the bound chosen at the root: ``_coset_node`` where the
-    classes of ``_coset_classes`` are a ``_colouring``, else ``_color_node``
-    over the graph's rows in rank order."""
+    stack, with the colouring chosen at the root: ``_coset_node`` over the
+    classes of ``_coset_classes`` where they are a ``_colouring``, else
+    ``_color_node``, which colours each node's candidates afresh."""
 
     def __init__(self, graph: IntersectionGraph, enumerate_all: bool,
                  deadline: float | None):
@@ -135,12 +135,7 @@ class _CliqueSearch:
         classes = found and _colouring(self.adj, found[1])
         if classes:
             self.certificate = found[0]
-            self.class_of = [0] * len(self.adj)
-            for k, (_, members) in enumerate(classes):
-                for v in members:
-                    self.class_of[v] = k
-            counts = bytearray(len(members) for _, members in classes)
-            self._search(self._coset_node(classes, counts, full, full, 0))
+            self._search(self._coset_node(classes, len(classes), full, 0))
             return
         self._search(self._color_node(full, 0))
 
@@ -166,10 +161,10 @@ class _CliqueSearch:
 
     def _search(self, root) -> None:
         """An open node is its clique size and an iterator over its branches
-        ``(bound, v, cand, child)``: v joins the clique unless it is -1, then a
-        ``cand`` that is a clique joins it whole and records, as an empty one
-        does, and any other opens ``child(cand, size)``. Nodes yield by
-        non-increasing bound, so the first cut closes a node."""
+        ``(bound, v, cand, child)``: v joins the clique, then a ``cand`` that
+        is a clique joins it whole and records, as an empty one does, and any
+        other opens ``child(cand, size)``. Nodes yield by non-increasing
+        bound, so the first cut closes a node."""
         chosen: list[int] = []
         stack = [(0, root)]
         while stack:
@@ -180,8 +175,7 @@ class _CliqueSearch:
                 stack.pop()
                 continue
             _, v, cand, child = branch
-            if v >= 0:
-                chosen.append(v)
+            chosen.append(v)
             if cand and not self._take_clique(cand, chosen):
                 self._tick()
                 stack.append((len(chosen), child(cand, len(chosen))))
@@ -204,47 +198,23 @@ class _CliqueSearch:
         chosen += members
         return True
 
-    def _coset_node(self, classes: list[tuple[int, list[int]]], counts: bytearray,
-                    parent_cand: int, cand: int, size: int):
-        """A clique meets each covering class at most once, so the bound is
-        the clique so far plus the classes with a candidate. Branch on the one
-        with the fewest (lowest index on ties), as in Knuth's Algorithm X: each
-        candidate in rank order, then a skip branch, so the search stays exact
-        when omega is below the class count.
-
-        ``counts`` holds each class's candidates at the parent; the node takes
-        its own copy less one per bit of ``parent_cand`` that ``cand`` drops,
-        so no node recounts its classes. A chosen member's row misses its own
-        class and the skip branch drops all of it, so the branched class is
-        zero in every child and the live classes are the nonzero counts."""
-        counts = self._drop_counts(counts, parent_cand & ~cand)
-        bound = size + len(counts) - counts.count(0)
-        if self._cut(bound):
-            return
-        smallest = 1
-        while (k := counts.find(smallest)) < 0:
-            smallest += 1
-        mask, members = classes[k]
-        child = functools.partial(self._coset_node, classes, counts, cand)
-        for v in members:
-            if (cand >> v) & 1:
-                yield bound, v, cand & self.adj[v], child
-        yield bound - 1, -1, cand & ~mask, child
-
-    def _drop_counts(self, counts: bytearray, dropped: int) -> bytearray:
-        """A copy of ``counts`` less one for each vertex in ``dropped``, found
-        by searching its binary string: walking ``q & -q`` would do big-int
-        work on every bit. A function of its own, so that the string, up to
-        n! characters, does not stay in the frame of an open node."""
-        counts = bytearray(counts)
-        class_of = self.class_of
-        bits = bin(dropped)
-        top = len(bits) - 1
-        i = bits.find("1", 2)
-        while i >= 0:
-            counts[class_of[top - i]] -= 1
-            i = bits.find("1", i + 1)
-        return counts
+    def _coset_node(self, classes: list[int], top: int, cand: int, size: int):
+        """Branches on ``classes[:top]``, a fixed colouring whose union holds
+        ``cand``, from the last back, as ``_color_node`` does on its own:
+        each member still a candidate, lowest vertex first, is bounded by the
+        clique so far plus its class's position and leaves the candidates once
+        its branch is done. A member's classmates are not its neighbours, so
+        its child's candidates lie in the classes below, which it inherits."""
+        adj = self.adj
+        for k in range(top, 0, -1):
+            child = functools.partial(self._coset_node, classes, k - 1)
+            live = cand & classes[k - 1]
+            while live:
+                low = live & -live
+                v = low.bit_length() - 1
+                yield size + k, v, cand & adj[v], child
+                cand ^= low
+                live ^= low
 
     def _color_node(self, cand: int, size: int):
         """Branches on the classes of ``_color_sort(cand)`` from the last
@@ -284,7 +254,13 @@ class _CliqueSearch:
 
 
 def _check_budget(time_budget: float | None) -> None:
-    if time_budget is not None and not 0 <= time_budget < math.inf:
+    """The one check of a caller's time budget: None, or an ``int`` or
+    ``float`` (a ``bool`` is not) that is finite and at least 0."""
+    if time_budget is None:
+        return
+    if not isinstance(time_budget, (int, float)) or isinstance(time_budget, bool):
+        raise ValueError(f"time budget must be a number, got {time_budget!r}")
+    if not 0 <= time_budget < math.inf:
         raise ValueError(f"time budget must be finite and >= 0, got {time_budget!r}")
 
 

@@ -84,6 +84,13 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_file_that_is_not_utf8_names_its_path(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"n": 3, "perms": ["\xe9"]}')
+    assert main(["transform", "--in", str(latin1)]) == 2
+    assert capsys.readouterr().err == f"error: {latin1}: not UTF-8 at byte 20\n"
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["transform", "--in", str(tmp_path / "absent.json")]) == 2
 

@@ -1,7 +1,7 @@
 """Differential tests of the clique core on random graphs.
 
-The S_n graphs are highly symmetric, so a wrong skip branch or a bound that
-is off by one could go unseen on them alone. Here the core runs on random
+The S_n graphs are highly symmetric, so a child that inherits the wrong
+classes or a bound that is off by one could go unseen on them alone. Here the core runs on random
 graphs of at most 12 vertices, on both of its paths: the colouring search
 (at t = 2 no classes are built) and the class search, fed a random
 independent partition in place of the cosets. A walk over every vertex

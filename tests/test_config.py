@@ -21,3 +21,9 @@ def test_env_values_validated(monkeypatch):
     with pytest.raises(ValueError, match="must be positive, got 0"):
         config.enumeration_cap()
 
+
+
+@pytest.mark.parametrize("override", [True, 7.5, "8"])
+def test_override_must_be_an_integer(override):
+    with pytest.raises(ValueError, match="^enumeration cap must be an integer, got "):
+        config.enumeration_cap(override)

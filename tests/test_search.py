@@ -2,6 +2,7 @@ import functools
 import inspect
 import itertools
 import math
+import operator
 import random
 import sys
 import time
@@ -156,6 +157,14 @@ def test_budget_expiry_is_flagged_not_truncated():
     generous = max_family_search(5, 1, time_budget=600.0)
     assert generous.complete
     assert generous.max_size == 24
+
+
+@pytest.mark.parametrize("budget", [True, "1", [1]])
+def test_budget_must_be_a_number(budget):
+    with pytest.raises(ValueError, match="^time budget must be a number, got "):
+        max_family_search(3, 1, time_budget=budget)
+    with pytest.raises(ValueError, match="^time budget must be a number, got "):
+        verify_max_bound(3, 1, time_budget=budget)
 
 
 def test_search_result_json_shape():
@@ -434,8 +443,8 @@ def _fallback(monkeypatch, *args, **kwargs):
 
 def _singletons(graph):
     """The cosets of the trivial group: every vertex a class of its own, so
-    omega is far below the class count and every maximum clique below the
-    first class needs the skip branch."""
+    omega is far below the class count and most classes hold no candidate
+    at a node."""
     certificate = {"group": "trivial", "generators": [], "order": 1,
                    "classes": graph.size}
     return certificate, [[v] for v in range(graph.size)]
@@ -760,7 +769,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
 
 
 @pytest.mark.parametrize("mode,nodes,cutoffs,witnesses", [
-    (search.SIZE_ONLY, 26, 26, 1), (ENUMERATE_ALL, 57, 57, 6)])
+    (search.SIZE_ONLY, 4, 4, 1), (ENUMERATE_ALL, 24, 24, 6)])
 def test_coset_search_counts_are_pinned(mode, nodes, cutoffs, witnesses):
     result = max_family_search(6, 1, mode=mode)
     assert result.complete and result.certificate["group"] == "C_6"
@@ -769,10 +778,10 @@ def test_coset_search_counts_are_pinned(mode, nodes, cutoffs, witnesses):
 
 
 @pytest.mark.parametrize("n,t,k,counts", [(7, 2, 400, (401, 377, 120, 3)),
-                                          (7, 1, 100, (101, 0, 0, 0))])
+                                          (7, 1, 40, (41, 30, 720, 5))])
 def test_counts_at_a_forced_expiry_are_pinned(monkeypatch, n, t, k, counts):
-    # (7,1) records every clique whole below its 129th and last node, so an
-    # expiry before that node has no incumbent
+    # (7,1) ends at node 60; by node 41 it has recorded 5 of the 7 point
+    # stabilizers
     def tick(self):
         self.nodes += 1
         if self.nodes > k:
@@ -784,31 +793,16 @@ def test_counts_at_a_forced_expiry_are_pinned(monkeypatch, n, t, k, counts):
     assert (result.nodes, result.cutoffs, result.max_size, len(result.witnesses)) == counts
 
 
-class _RecountingSearch(search._CliqueSearch):
-    """The coset search that recounts every live class at every node: the
-    reference for the node that carries its counts down the tree."""
+class _InheritanceCheck(search._CliqueSearch):
+    """The coset search, asserting at every node it opens that the
+    candidates lie in the union of the classes that the node inherits."""
 
-    def run(self):
-        self._tick()
-        self.certificate, members = search._coset_classes(self.graph)
-        classes = search._colouring(self.adj, members)
-        full = (1 << len(self.adj)) - 1
-        self._search(self._coset_node(classes, range(len(classes)), full, 0))
+    checked = 0
 
-    def _coset_node(self, classes, live, cand, size):
-        counts = [((cand & classes[k][0]).bit_count(), k) for k in live]
-        counts = [ck for ck in counts if ck[0]]
-        bound = size + len(counts)
-        if self._cut(bound):
-            return
-        k = min(counts)[1]
-        mask, members = classes[k]
-        child = functools.partial(self._coset_node, classes,
-                                  [j for _, j in counts if j != k])
-        for v in members:
-            if (cand >> v) & 1:
-                yield bound, v, cand & self.adj[v], child
-        yield bound - 1, -1, cand & ~mask, child
+    def _coset_node(self, classes, top, cand, size):
+        assert not cand & ~functools.reduce(operator.or_, classes[:top], 0)
+        self.checked += 1
+        return super()._coset_node(classes, top, cand, size)
 
 
 def _sorted_cliques(clique_search):
@@ -825,31 +819,41 @@ def _search_outcome(cls, graph, enumerate_all):
             clique_search.cutoffs, clique_search.certificate)
 
 
-def _assert_counts_match_recounting(n, t):
+def _assert_children_inherit_their_candidates(n, t):
     graph = build_intersection_graph(n, t)
     for enumerate_all in (False, True):
-        carried = _search_outcome(search._CliqueSearch, graph, enumerate_all)
-        assert carried[4] is not None
-        assert carried == _search_outcome(_RecountingSearch, graph, enumerate_all), \
-            (n, t, enumerate_all)
+        clique_search = _InheritanceCheck(graph, enumerate_all, None)
+        clique_search.run()
+        assert clique_search.certificate is not None
+        assert clique_search.checked == clique_search.nodes, (n, t, enumerate_all)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_carried_coset_counts_match_recounting_reference(n):
-    _assert_counts_match_recounting(n, 1)
+def test_coset_children_inherit_their_candidates(n):
+    _assert_children_inherit_their_candidates(n, 1)
 
 
-def test_carried_singleton_counts_match_recounting_reference(monkeypatch):
-    # the trivial group: n! singleton classes, most of them skipped
+def test_singleton_children_inherit_their_candidates(monkeypatch):
+    # the trivial group: n! singleton classes, most of them empty at a node
     monkeypatch.setattr(search, "_coset_classes", _singletons)
     for n in range(1, 6):
         for t in range(1, n + 1):
-            _assert_counts_match_recounting(n, t)
+            _assert_children_inherit_their_candidates(n, t)
 
 
 def test_seven_one_enumerate_all_counts_are_pinned():
     result = max_family_search(7, 1, mode=ENUMERATE_ALL, cap=7)
     assert result.complete
-    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (129, 129, 7)
+    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (60, 60, 7)
     assert result.max_size == 720
     assert (result.certificate["group"], result.certificate["classes"]) == ("C_7", 720)
+
+
+def test_eight_one_enumerate_all_counts_are_pinned():
+    # about 255 MB peak, nearly all of it the S_8 graph's rows
+    result = max_family_search(8, 1, mode=ENUMERATE_ALL, cap=8)
+    assert result.complete
+    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (228, 228, 8)
+    assert result.max_size == 5040
+    assert set(result.witnesses) == {stabilizer_family((x,), 8, cap=8)
+                                     for x in range(1, 9)}
