@@ -10,11 +10,17 @@ every node branches on from its last class back. Each child inherits the
 classes below the one it branched on, so no node colours or counts. Every
 other t, t = 0 included, walks the graph's rows in rank order, as built: a
 greedy coloring of each candidate set, one class at a time on bitsets from
-the highest rank down (BBMC), gives the bound. On both paths a child whose
-candidate set is a clique opens no node: the clique shortcut records it
-whole, so a stabilizer of t points, with its (n-t)! members, costs one test
-instead of a node per member, and at t = 0, where the graph is complete, all
-of S_n is recorded below the root.
+the highest rank down (BBMC), gives the bound. Such a node closes once it
+has branched on a candidate adjacent to every other candidate: a clique of
+a later branch extends by that vertex to a larger clique of the finished
+branch, so the incumbent is already above it in either mode (the
+one-branch case of Tomita, Tanaka and Takahashi's pivoting, Theor. Comput.
+Sci. 363, 2006). The coset nodes do without it: at t = 1 it would open no
+fewer nodes. On both paths a child whose candidate set is a clique opens no
+node: the clique shortcut records it whole, so a stabilizer of t points,
+with its (n-t)! members, costs one test instead of a node per member, and
+at t = 0, where the graph is complete, all of S_n is recorded below the
+root.
 Enumerate-all pruning keeps branches that can tie the incumbent: the witness
 list is complete and duplicate-free.
 
@@ -220,14 +226,23 @@ class _CliqueSearch:
         """Branches on the classes of ``_color_sort(cand)`` from the last
         back, each member bounded by the clique so far plus its colour, and
         within a class from the highest vertex down; a vertex leaves the
-        candidates once its branch is done."""
+        candidates once its branch is done.
+
+        A branch on v whose child is every other candidate closes the node
+        once it is done: each clique of a later branch lies in the
+        candidates left, all of them v's neighbours, so it extends by v to a
+        clique of v's branch, which has already left ``best`` above it. A
+        later branch could record nothing and move nothing, in either mode."""
         adj = self.adj
         order, ends = self._color_sort(cand)
         for color in range(len(ends) - 1, 0, -1):
             bound = size + color
             for v in order[ends[color - 1]:ends[color]]:
-                yield bound, v, cand & adj[v], self._color_node
+                child = cand & adj[v]
+                yield bound, v, child, self._color_node
                 cand ^= 1 << v
+                if child == cand:
+                    return
 
     def _color_sort(self, cand: int) -> tuple[list[int], list[int]]:
         """Greedy coloring from the highest vertex down, one class at a time:

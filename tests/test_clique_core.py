@@ -25,6 +25,11 @@ graphs = st.tuples(st.integers(1, 12), st.floats(0.2, 0.9), st.randoms(use_true_
 # many candidate sets of these are cliques, which the core records whole
 near_complete_graphs = st.tuples(st.integers(1, 12), st.floats(0.9, 1.0),
                                  st.randoms(use_true_random=False))
+# random graphs with k >= 1 vertices adjacent to every other vertex: such a
+# vertex is adjacent to every other candidate at each node that holds it,
+# so the colouring search closes that node after branching on it
+universal_graphs = st.tuples(st.integers(0, 10), st.floats(0.2, 0.9),
+                             st.randoms(use_true_random=False), st.integers(1, 3))
 
 
 def _random_rows(m, density, rng):
@@ -33,6 +38,19 @@ def _random_rows(m, density, rng):
         for v in range(u + 1, m):
             if rng.random() < density:
                 rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+def _join_universal(m, density, rng, k):
+    """A random graph on m + k vertices in which k of them, chosen at
+    random, are joined to every other vertex."""
+    size = m + k
+    rows = _random_rows(size, density, rng)
+    for u in rng.sample(range(size), k):
+        rows[u] = ((1 << size) - 1) & ~(1 << u)
+        for v in range(size):
+            if v != u:
                 rows[v] |= 1 << u
     return rows
 
@@ -130,6 +148,14 @@ def test_class_search_matches_brute_force(graph):
     m, density, rng = graph
     rows = _random_rows(m, density, rng)
     _assert_exact(rows, _first_fit_classes(rows, rng))
+
+
+@settings(max_examples=120, deadline=None)
+@given(universal_graphs, st.booleans())
+def test_searches_match_brute_force_with_universal_vertices(graph, with_classes):
+    m, density, rng, k = graph
+    rows = _join_universal(m, density, rng, k)
+    _assert_exact(rows, _first_fit_classes(rows, rng) if with_classes else None)
 
 
 def test_a_set_missing_one_edge_is_not_taken_whole():
