@@ -207,6 +207,8 @@ def _cmd_verify(args) -> int:
     elif args.suite == "surgery":
         rep = search.verify_surgery_instances()
     else:  # all
+        if args.n_max < 1:
+            raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
         rep = search.run_suite_all(args.n_max, args.seed)
     if args.out:
         _write_json(args.out, rep.to_json_dict())

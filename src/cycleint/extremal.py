@@ -16,7 +16,7 @@ import sys
 from . import config
 from .gensets import _pattern_count, up_permutations
 from .intersect import PermFamily, _check_t, _fixed_point_family
-from .perm import parse_degree, parse_points, point_mask
+from .perm import _check_int, parse_degree, parse_points, point_mask
 from .report import _FrozenRecord
 
 
@@ -50,7 +50,7 @@ def f_family_size(n: int, t: int, i: int) -> int:
 def _check_f_params(n: int, t: int, i: int) -> None:
     if _check_t(t) < 1:
         raise ValueError("t must be at least 1")
-    if i < 0:
+    if _check_int("i", i) < 0:
         raise ValueError("i must be nonnegative")
     if t + 2 * i > parse_degree(n):
         raise ValueError(f"window t+2i = {t + 2 * i} exceeds degree {n}")
@@ -126,7 +126,9 @@ def _factorial_exceeds_digits(m: int, digits: int) -> bool:
 
 def quad_value(n: int, t: int, delta: int) -> int:
     """The discriminating quadratic; the surgery gains size iff it is <= 0."""
+    _check_int("n", n)
     _check_t(t)
+    _check_int("delta", delta)
     return delta * delta + delta * (2 + 2 * t - 2 * n) + 4 * t - 4
 
 

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 from . import report
 from .intersect import (PermFamily, _check_t, _fixed_point_family, _joinable,
                         _sn_table)
-from .perm import parse_degree, parse_points, point_mask, rank
+from .perm import _check_int, parse_degree, parse_points, point_mask, rank
 from .report import CheckResult, _FrozenRecord, _Record
 from .transform import is_compressed_family, is_fixed_family
 
@@ -236,9 +236,9 @@ def fix_prefix_count(n: int, size: int, top: int) -> int:
     count is of permutations whose fixed points within [1..top] are exactly
     the pattern.
     """
-    if size < 1:
+    if _check_int("size", size) < 1:
         raise ValueError("pattern size must be at least 1")
-    if not size <= top <= parse_degree(n):
+    if not size <= _check_int("top", top) <= parse_degree(n):
         raise ValueError(f"need size <= top <= n, got ({size}, {top}, {n})")
     return _pattern_count(n, size, top)
 

@@ -6,7 +6,9 @@ pair does (vacuously for at most one member). The intersection graph makes
 that pair relation explicit so maximum families become maximum cliques.
 
 Every walk over S_n reads one cached table per degree, which holds the
-permutations in rank order with their fixed-point bitmasks and cycle ids.
+permutations in rank order with their fixed-point bitmasks and cycle ids,
+and, from the first walk at t > 0 on, the per-cycle row bitsets that every
+graph row and maximality question at that degree is built from.
 One guard, ``_check_walk``, refuses before any walk what the walk cannot
 do: a bad degree, bitsets beyond memory, a negative t, a degree beyond the
 enumeration cap. The table lookup runs it; a walk that reads no table runs
@@ -22,7 +24,8 @@ import os
 from collections.abc import Iterable, Iterator
 
 from . import config
-from .perm import Permutation, all_permutations, parse_cycles, parse_degree, rank
+from .perm import (Permutation, _check_int, all_permutations, parse_cycles,
+                   parse_degree, rank)
 
 
 class PermFamily:
@@ -176,9 +179,10 @@ class IntersectionGraph:
 
 class _SnTable:
     """S_n in rank order with its rows grouped by fixed-point bitmask (bit x-1
-    for point x), at most 2^n groups, and each row's interned cycle ids."""
+    for point x), at most 2^n groups, each row's interned cycle ids and, once
+    a walk at t > 0 has asked for them, the per-cycle row bitsets."""
 
-    __slots__ = ("perms", "rows_by_fixed", "cycle_ids")
+    __slots__ = ("perms", "rows_by_fixed", "cycle_ids", "rows_by_cycle")
 
     def __init__(self, n: int):
         self.perms = tuple(all_permutations(n))
@@ -190,6 +194,33 @@ class _SnTable:
         self.cycle_ids = tuple(
             tuple(interned.setdefault(c, len(interned)) for c in p.cycles())
             for p in self.perms)
+        self.rows_by_cycle: list[int] | None = None
+
+    def neighbours(self, t: int):
+        """A function from a row to the bitset of the other rows sharing at
+        least t cycles with it: the OR, over t-subsets of the row's cycle ids,
+        of the AND of the per-cycle row bitsets, built at the first t > 0 and
+        kept. At t = 0 every other row qualifies, and no cycle id is read."""
+        full = (1 << len(self.perms)) - 1
+        if t == 0:
+            return lambda r: full ^ 1 << r
+        cycle_ids, rows_by_cycle = self.cycle_ids, self.rows_by_cycle
+        if rows_by_cycle is None:  # cycle ids are interned from 0 up
+            rows_by_cycle = self.rows_by_cycle = [0] * (1 + max(map(max, cycle_ids)))
+            for r, ids in enumerate(cycle_ids):
+                for c in ids:
+                    rows_by_cycle[c] |= 1 << r
+
+        def neighbours(r: int) -> int:
+            row = 0
+            for subset in itertools.combinations(cycle_ids[r], t):
+                common = full
+                for c in subset:
+                    common &= rows_by_cycle[c]
+                row |= common
+            return row & ~(1 << r)
+
+        return neighbours
 
 
 _build_sn_table = functools.cache(_SnTable)
@@ -209,31 +240,6 @@ def _fixed_point_family(n: int, keep, cap: int | None = None) -> PermFamily:
     perms = table.perms
     return PermFamily(n, (perms[r] for mask, rows in table.rows_by_fixed.items()
                           if keep(mask) for r in rows))
-
-
-def _neighbourhoods(table: _SnTable, t: int):
-    """A function from a row to the bitset of the other rows sharing at least
-    t cycles with it: the OR, over t-subsets of the row's cycle ids, of the AND
-    of the per-cycle row bitsets, which live only as long as the function.
-    At t = 0 every other row qualifies, and no cycle id is read."""
-    full = (1 << len(table.perms)) - 1
-    if t == 0:
-        return lambda r: full ^ 1 << r
-    having: dict[int, int] = {}
-    for r, ids in enumerate(table.cycle_ids):
-        for c in ids:
-            having[c] = having.get(c, 0) | 1 << r
-
-    def neighbours(r: int) -> int:
-        row = 0
-        for subset in itertools.combinations(table.cycle_ids[r], t):
-            common = full
-            for c in subset:
-                common &= having[c]
-            row |= common
-        return row & ~(1 << r)
-
-    return neighbours
 
 
 # cgroup v2, then v1; a container sees its own cgroup's files at the mount
@@ -292,18 +298,9 @@ def _check_walk(n: int, t: int = 0, cap: int | None = None,
 def _check_t(t: int) -> int:
     """t, which must be an ``int`` (a ``bool`` is not) and at least 0. The
     one check of a caller's t."""
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise ValueError(f'"t" must be an integer, got {t!r}')
-    if t < 0:
+    if _check_int("t", t) < 0:
         raise ValueError(f"t must be at least 0, got {t}")
     return t
-
-
-@functools.lru_cache(maxsize=1)
-def _neighbour_index(n: int, t: int):
-    """``_neighbourhoods`` of the table of S_n, for callers that have looked
-    the table up at t. Only the last index built is kept, about 1 MB at n = 7."""
-    return _neighbourhoods(_sn_table(n), t)
 
 
 def build_intersection_graph(n: int, t: int,
@@ -312,7 +309,7 @@ def build_intersection_graph(n: int, t: int,
     before S_n is walked, degrees whose n! rows of n! bits, with the
     per-cycle bitsets they are built from at t > 0, would not fit in memory."""
     table = _sn_table(n, cap, t, rows=True)
-    adj = tuple(map(_neighbourhoods(table, t), range(len(table.perms))))
+    adj = tuple(map(table.neighbours(t), range(len(table.perms))))
     return IntersectionGraph(n, t, table.perms, adj)
 
 
@@ -334,12 +331,12 @@ def maximalize(family: PermFamily, t: int) -> PermFamily:
     cand = _joinable(family, t)
     if cand is None:
         raise ValueError(f"family is not {t}-cycle-intersecting")
-    neighbours = _neighbour_index(family.n, t)  # checked by _joinable
-    perms = _sn_table(family.n).perms
+    table = _sn_table(family.n)  # checked by _joinable
+    neighbours = table.neighbours(t)
     members = list(family.members)
     while cand:
         v = (cand & -cand).bit_length() - 1
-        members.append(perms[v])
+        members.append(table.perms[v])
         cand &= neighbours(v)
     return PermFamily(family.n, members)
 
@@ -348,7 +345,7 @@ def _joinable(family: PermFamily, t: int) -> int | None:
     """The outside rows sharing t cycles with every member, as a bitset, or
     None when the family is not t-cycle-intersecting."""
     table = _sn_table(family.n, t=t)
-    neighbours = _neighbour_index(family.n, t)
+    neighbours = table.neighbours(t)
     ranks = [rank(p) for p in family]
     family_mask = sum(1 << r for r in ranks)
     cand = (1 << len(table.perms)) - 1

@@ -120,12 +120,18 @@ class Permutation:
         return f"Permutation({list(self.image)})"
 
 
+def _check_int(name: str, value: int) -> int:
+    """``value``, which must be an ``int`` (a ``bool`` is not); the error
+    names the parameter. The one type check of a caller's integer."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f'"{name}" must be an integer, got {value!r}')
+    return value
+
+
 def parse_degree(n: int) -> int:
     """The degree n, which must be an ``int`` (a ``bool`` is not) and at
     least 1. The one check of a caller's degree."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f'"n" must be an integer, got {n!r}')
-    if n < 1:
+    if _check_int("n", n) < 1:
         raise ValueError("degree must be at least 1")
     return n
 
@@ -235,7 +241,7 @@ def rank(sigma: Permutation) -> int:
 def unrank(n: int, r: int) -> Permutation:
     """Inverse of :func:`rank`; unrank(n, 0) is the identity."""
     parse_degree(n)
-    if not 0 <= r < math.factorial(n):
+    if not 0 <= _check_int("r", r) < math.factorial(n):
         raise ValueError(f"rank {r} out of range for degree {n}")
     digits = []
     for base in range(1, n + 1):

@@ -49,7 +49,7 @@ from .intersect import (IntersectionGraph, PermFamily, _check_t, _check_walk,
                         _joinable, _sn_table, build_intersection_graph,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,
                         maximalize, stabilized_points)
-from .perm import all_permutations, parse_degree
+from .perm import _check_int, all_permutations, parse_degree
 from .report import HYPOTHESIS_NOT_MET, PASS, VerificationReport, _Record
 from .transform import (compress_closure, fix_closure, is_compressed_family,
                         is_fixed_family, stabilizer_pullback_check)
@@ -318,7 +318,7 @@ def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
 
 def naive_max_family_size(n: int, t: int) -> int:
     """Independent brute-force oracle: recursion over the family lattice.
-    Before S_n is walked it is refused wherever the neighbour index at t
+    Before S_n is walked it is refused wherever a maximality question at t
     would be, although it holds no bitsets itself."""
     _check_walk(n, t)
     perms = list(all_permutations(n))
@@ -486,8 +486,9 @@ def pipeline_roundtrip(n: int, t: int, trials: int, seed: int) -> VerificationRe
     witness, else not assessed, else pass. At least one trial must run, so
     that a pass means something was checked.
     """
-    if trials < 1:
+    if _check_int("trials", trials) < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_int("seed", seed)  # a seed of None would draw from the OS
     table = _sn_table(n, t=t)  # rank order, so a draw is unrank(n, randrange(n!))
     rep = VerificationReport("pipeline")
     rng = random.Random(seed)
@@ -559,6 +560,9 @@ def verify_surgery_instances() -> VerificationReport:
 
 def run_suite_all(n_max: int, seed: int) -> VerificationReport:
     """Every lemma check at tiny scale; the repository's acceptance gate."""
+    if _check_int("n_max", n_max) < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    _check_int("seed", seed)
     rep = VerificationReport("all")
     for t in range(1, n_max + 1):
         for n in range(2 * t + 1, n_max + 1):

@@ -262,8 +262,8 @@ def _refuse_to_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("built S_n or its bitsets past the memory check")
 
-    for name in ("_build_sn_table", "_neighbourhoods"):
-        monkeypatch.setattr(intersect, name, refuse)
+    monkeypatch.setattr(intersect, "_build_sn_table", refuse)
+    monkeypatch.setattr(intersect._SnTable, "neighbours", refuse)
 
 
 def test_search_refuses_rows_beyond_the_memory_limit(monkeypatch, capsys):
@@ -292,8 +292,8 @@ def test_graph_build_counts_the_per_cycle_bitsets(monkeypatch, capsys):
 
 
 def test_t_zero_counts_the_adjacency_rows_alone(monkeypatch, capsys):
-    # a t = 0 walk builds no per-cycle bitsets: the graph holds its 120 rows of
-    # 120 bits, and the neighbour index holds no bitset at all
+    # a t = 0 walk builds no per-cycle bitsets, so the graph holds its 120 rows
+    # of 120 bits and nothing more
     from cycleint import intersect
 
     rows = math.factorial(5) ** 2 // 8  # 1800
@@ -477,6 +477,11 @@ def test_degree_below_one_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: degree must be at least 1\n" and not captured.out
+
+
+def test_verify_suite_all_names_its_degree_flag(capsys):
+    assert main(["verify", "--suite", "all", "--n-max", "0", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: --n-max must be at least 1, got 0\n"
 
 
 def test_verify_suite_all_below_the_pipeline_threshold(tmp_path):

@@ -120,22 +120,13 @@ def test_graph_matches_pair_predicate():
 
 def test_t_zero_reads_no_cycle_ids(monkeypatch):
     # every pair shares at least 0 cycles, so no per-cycle bitset is built
-    table = _sn_table(5)
-
-    class Blind:
-        perms = table.perms
-        rows_by_fixed = table.rows_by_fixed
-
-        @property
-        def cycle_ids(self):
-            raise AssertionError("a t = 0 row read the cycle ids")
-
-    monkeypatch.setattr(intersect, "_sn_table", lambda *args, **kwargs: Blind())
-    intersect._neighbour_index.cache_clear()
+    blind = intersect._SnTable(5)
+    del blind.cycle_ids  # a read raises AttributeError
+    monkeypatch.setattr(intersect, "_build_sn_table", lambda n: blind)
     full = (1 << 120) - 1
     assert build_intersection_graph(5, 0).adj == tuple(full ^ 1 << r for r in range(120))
-    assert maximalize(PermFamily(5, [identity(5)]), 0) == PermFamily(5, table.perms)
-    intersect._neighbour_index.cache_clear()
+    assert maximalize(PermFamily(5, [identity(5)]), 0) == PermFamily(5, blind.perms)
+    assert blind.rows_by_cycle is None
 
 
 def test_graph_is_irreflexive_and_symmetric():
@@ -307,24 +298,21 @@ def test_s_n_walkers_build_no_validated_permutations(monkeypatch):
     assert validated == []
 
 
-def test_maximality_keeps_one_neighbour_index_per_degree_and_t(monkeypatch):
-    built = []
-    neighbourhoods = intersect._neighbourhoods
-    monkeypatch.setattr(intersect, "_neighbourhoods",
-                        lambda table, t: built.append((len(table.perms), t))
-                        or neighbourhoods(table, t))
-    intersect._neighbour_index.cache_clear()
-    build_intersection_graph(5, 2)  # the graph keeps no index
-    assert intersect._neighbour_index.cache_info().currsize == 0
-    built.clear()
+def test_each_degree_builds_its_per_cycle_bitsets_once(bitset_builds):
+    build_intersection_graph(5, 0)
+    assert is_maximal(maximalize(PermFamily(4, [identity(4)]), 0), 0)
+    assert bitset_builds == []
+    assert _sn_table(5).rows_by_cycle is None and _sn_table(4).rows_by_cycle is None
+    for t in range(1, 6):  # the graph keeps the bitsets with the table
+        build_intersection_graph(5, t)
     perms = list(all_permutations(5))
     for p in perms[::30]:
         assert is_maximal(maximalize(PermFamily(5, [p]), 2), 2)
-    assert built == [(120, 2)]
     assert is_maximal(stab({1}, 5), 1)
     assert is_maximal(stab({1, 2}, 6), 2)
     assert not is_maximal(PermFamily(6, [identity(6)]), 2)
-    assert built == [(120, 2), (120, 1), (720, 2)]
+    build_intersection_graph(6, 1)
+    assert bitset_builds == [(120, 1), (720, 2)]
 
 
 def test_building_a_family_hashes_no_permutation(monkeypatch):

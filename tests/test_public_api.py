@@ -20,7 +20,7 @@ KEPT = {
     "compress_family": "the paper's family compression, checked against the closures",
     "f1_closed_form": "acceptance criterion 4 checks |F_1| against it",
     "is_family_t_cycle_intersecting":
-        "the pairwise reference for the verdicts the neighbour index gives",
+        "the pairwise reference for the verdicts the per-cycle bitsets give",
     "Permutation.cycle_type":
         "reference for the conjugation tests; ROADMAP item 2 keys the root's "
         "classes on it",

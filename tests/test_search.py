@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from cycleint import config, intersect, perm, search, transform
-from cycleint.extremal import stabilizer_family
+from cycleint.extremal import f_family, f_family_size, quad_value, stabilizer_family
+from cycleint.gensets import fix_prefix_count
 from cycleint.intersect import (PermFamily, _sn_table, build_intersection_graph,
                                 is_family_t_cycle_intersecting, is_maximal)
 from cycleint.perm import conjugate, identity, unrank
@@ -312,19 +313,10 @@ def test_stabilizer_pullback_needs_n_at_least_2t_plus_1(n, t):
     assert all(r.status == PASS for r in rep.records if r is not pullback)
 
 
-def test_pipeline_builds_one_neighbour_index_and_one_family_per_closure(monkeypatch):
-    indexes = []
-    neighbourhoods = intersect._neighbourhoods
-
-    def counted_index(table, t):
-        indexes.append(t)
-        return neighbourhoods(table, t)
-
-    monkeypatch.setattr(intersect, "_neighbourhoods", counted_index)
-    monkeypatch.setattr(search, "_neighbourhoods", counted_index, raising=False)
-    intersect._neighbour_index.cache_clear()
+def test_pipeline_builds_the_bitsets_once_and_one_family_per_closure(bitset_builds,
+                                                                    monkeypatch):
     assert pipeline_roundtrip(5, 2, trials=10, seed=7).passed
-    assert indexes == [2]
+    assert bitset_builds == [(120, 2)]
 
     built = []
     init = PermFamily.__init__
@@ -337,6 +329,49 @@ def test_pipeline_builds_one_neighbour_index_and_one_family_per_closure(monkeypa
             built.clear()
             family, trace = closure(family)
             assert len(built) == 1, (closure.__name__, trace)
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.0, "1"])
+def test_randomized_suites_refuse_a_seed_that_cannot_be_replayed(monkeypatch, seed):
+    # None would seed from the OS; the refusal comes before any work
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a check before refusing the seed")
+
+    monkeypatch.setattr(search, "verify_max_bound", refuse)
+    monkeypatch.setattr(search, "maximalize", refuse)
+    for run in (lambda: pipeline_roundtrip(6, 1, 5, seed), lambda: run_suite_all(5, seed)):
+        with pytest.raises(ValueError, match=f'^"seed" must be an integer, got {seed!r}$'):
+            run()
+
+
+INTEGER_PARAMETERS = [
+    (pipeline_roundtrip, (5, 2, 2.5, 1), "trials"),
+    (pipeline_roundtrip, (5, 2, "3", 1), "trials"),
+    (pipeline_roundtrip, (5, 2, True, 1), "trials"),
+    (run_suite_all, ("5", 1), "n_max"),
+    (run_suite_all, (True, 1), "n_max"),
+    (f_family, (5, 1, 1.0), "i"),
+    (f_family_size, (5, 1, True), "i"),
+    (fix_prefix_count, (5, 1.0, 3), "size"),
+    (fix_prefix_count, (5, 1, 3.0), "top"),
+    (unrank, (4, True), "r"),
+    (unrank, (4, 1.5), "r"),
+    (quad_value, ("3", 1, 2), "n"),
+    (quad_value, (3, 1, 2.0), "delta"),
+]
+
+
+@pytest.mark.parametrize("function,args,name", INTEGER_PARAMETERS,
+                         ids=[f"{f.__name__}{args}" for f, args, _ in INTEGER_PARAMETERS])
+def test_integer_parameters_must_be_ints(function, args, name):
+    # as for the degree and t: an int, not a bool, named in a ValueError
+    with pytest.raises(ValueError, match=f'^"{name}" must be an integer, got '):
+        function(*args)
+
+
+def test_suite_all_needs_a_degree():
+    with pytest.raises(ValueError, match="^n_max must be at least 1, got 0$"):
+        run_suite_all(0, 1)
 
 
 PIPELINE_CHECKS = ("size-preserved-by-closures", "output-t-cycle-intersecting",
