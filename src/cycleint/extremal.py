@@ -73,7 +73,7 @@ def compare_extremal(n: int, t: int, i_values=(0, 1)) -> ExtremalComparison:
     """Sizes of F_i for the requested i, enumerated within the cap and counted
     exactly either way; the two modes must agree wherever both run. Sizes
     that could not be printed are refused before any counting."""
-    i_values = sorted(set(int(v) for v in i_values))
+    i_values = sorted({_check_int("i", v) for v in i_values})
     for i in i_values:
         _check_f_params(n, t, i)
     _refuse_unprintable_sizes(n, t, i_values)

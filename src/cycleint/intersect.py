@@ -228,9 +228,14 @@ _build_sn_table = functools.cache(_SnTable)
 
 def _sn_table(n: int, cap: int | None = None, t: int = 0,
               rows: bool = False) -> _SnTable:
-    """The table of S_n, built on first use, behind ``_check_walk``."""
+    """The table of S_n, built on first use, behind ``_check_walk``. A walk
+    at t = 0 on a table that kept the per-cycle bitsets of a walk at t > 0
+    is checked again with them, as a walk at t > 0 is: they are held too."""
     _check_walk(n, t, cap, rows)
-    return _build_sn_table(n)
+    table = _build_sn_table(n)
+    if t == 0 and table.rows_by_cycle is not None:
+        _check_walk(n, 1, cap, rows)
+    return table
 
 
 def _fixed_point_family(n: int, keep, cap: int | None = None) -> PermFamily:

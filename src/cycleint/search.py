@@ -2,25 +2,22 @@
 
 The search is exact branch-and-bound maximum clique on the intersection
 graph, with candidates in big-int bitsets: one depth-first loop over an
-explicit stack, with the colouring chosen at the root. At t = 1 the left
-cosets of C_n, each read off as the n rotations of a permutation's image
-tuple, are checked to be independent sets covering the graph; they then
-bound every clique by their number, (n-1)!, and are a fixed colouring that
-every node branches on from its last class back. Each child inherits the
-classes below the one it branched on, so no node colours or counts. Every
-other t, t = 0 included, walks the graph's rows in rank order, as built: a
-greedy coloring of each candidate set, one class at a time on bitsets from
-the highest rank down (BBMC), gives the bound. Such a node closes once it
-has branched on a candidate adjacent to every other candidate: a clique of
-a later branch extends by that vertex to a larger clique of the finished
-branch, so the incumbent is already above it in either mode (the
+explicit stack, whose nodes all branch on a colouring held as class bitsets.
+At t = 1 the left cosets of C_n, each read off as the n rotations of a
+permutation's image tuple, are checked to be independent sets covering the
+graph; they then bound every clique by their number, (n-1)!, and colour the
+root, and each child inherits the classes below the one it branched on.
+Every other t, t = 0 included, colours each node's candidates afresh: a
+greedy colouring, one class at a time on bitsets from the highest rank
+down (BBMC), on the graph's rows in rank order, as built. A node closes
+once it has branched on a candidate adjacent to every other candidate: a
+clique of a later branch extends by that vertex to a larger clique of the
+finished branch, so the incumbent is already above it in either mode (the
 one-branch case of Tomita, Tanaka and Takahashi's pivoting, Theor. Comput.
-Sci. 363, 2006). The coset nodes do without it: at t = 1 it would open no
-fewer nodes. On both paths a child whose candidate set is a clique opens no
-node: the clique shortcut records it whole, so a stabilizer of t points,
-with its (n-t)! members, costs one test instead of a node per member, and
-at t = 0, where the graph is complete, all of S_n is recorded below the
-root.
+Sci. 363, 2006). A child whose candidate set is a clique opens no node: the
+clique shortcut records it whole, so a stabilizer of t points, with its
+(n-t)! members, costs one test instead of a node per member, and at t = 0,
+where the graph is complete, all of S_n is recorded below the root.
 Enumerate-all pruning keeps branches that can tie the incumbent: the witness
 list is complete and duplicate-free.
 
@@ -116,9 +113,11 @@ def _colouring(adj, classes: list[list[int]]) -> list[int] | None:
 
 class _CliqueSearch:
     """Exact maximum clique search: one depth-first loop over an explicit
-    stack, with the colouring chosen at the root: ``_coset_node`` over the
-    classes of ``_coset_classes`` where they are a ``_colouring``, else
-    ``_color_node``, which colours each node's candidates afresh."""
+    stack, and one node generator, ``_node``, over a colouring held as
+    class bitsets. At the root the classes of ``_coset_classes``, where they
+    are a ``_colouring``, are that colouring, and each child inherits the
+    classes below the one it branched on; else every node colours its
+    candidates afresh with ``_color_sort``."""
 
     def __init__(self, graph: IntersectionGraph, enumerate_all: bool,
                  deadline: float | None):
@@ -141,9 +140,9 @@ class _CliqueSearch:
         classes = found and _colouring(self.adj, found[1])
         if classes:
             self.certificate = found[0]
-            self._search(self._coset_node(classes, len(classes), full, 0))
+            self._search(self._node(full, 0, classes, len(classes)))
             return
-        self._search(self._color_node(full, 0))
+        self._search(self._node(full, 0))
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -204,68 +203,67 @@ class _CliqueSearch:
         chosen += members
         return True
 
-    def _coset_node(self, classes: list[int], top: int, cand: int, size: int):
-        """Branches on ``classes[:top]``, a fixed colouring whose union holds
-        ``cand``, from the last back, as ``_color_node`` does on its own:
-        each member still a candidate, lowest vertex first, is bounded by the
-        clique so far plus its class's position and leaves the candidates once
-        its branch is done. A member's classmates are not its neighbours, so
-        its child's candidates lie in the classes below, which it inherits."""
+    def _node(self, cand: int, size: int, classes: list[int] | None = None,
+              top: int = 0):
+        """Branches on ``classes[:top]``, inherited classes whose union holds
+        ``cand``, or else on the classes of ``_color_sort(cand)``, from the
+        last back: each member still a candidate is bounded by the clique so
+        far plus its class's position and leaves the candidates once its
+        branch is done. A member's classmates are not its neighbours, so on
+        inherited classes its child's candidates lie in the classes below,
+        which the child inherits; on greedy classes it colours afresh.
+
+        A greedy class is taken highest vertex first, the order it was
+        coloured in. A coset is taken lowest first, the rotation that fixes
+        1: successive branches then share the 1-cycle and reach a point
+        stabilizer, which the clique shortcut records whole; highest first,
+        (7,1) opens 4881 nodes, not 60.
+
+        A branch on v whose child is every other candidate closes the node:
+        each clique of a later branch lies in v's neighbours, so it extends
+        by v to a clique of v's finished branch, which has left ``best``
+        above it. A later branch could record nothing, in either mode."""
         adj = self.adj
+        inherited = classes is not None
+        if not inherited:
+            classes = self._color_sort(cand)
+            top = len(classes)
+        child = self._node
         for k in range(top, 0, -1):
-            child = functools.partial(self._coset_node, classes, k - 1)
+            if inherited:
+                child = functools.partial(self._node, classes=classes, top=k - 1)
             live = cand & classes[k - 1]
             while live:
-                low = live & -live
-                v = low.bit_length() - 1
-                yield size + k, v, cand & adj[v], child
-                cand ^= low
-                live ^= low
-
-    def _color_node(self, cand: int, size: int):
-        """Branches on the classes of ``_color_sort(cand)`` from the last
-        back, each member bounded by the clique so far plus its colour, and
-        within a class from the highest vertex down; a vertex leaves the
-        candidates once its branch is done.
-
-        A branch on v whose child is every other candidate closes the node
-        once it is done: each clique of a later branch lies in the
-        candidates left, all of them v's neighbours, so it extends by v to a
-        clique of v's branch, which has already left ``best`` above it. A
-        later branch could record nothing and move nothing, in either mode."""
-        adj = self.adj
-        order, ends = self._color_sort(cand)
-        for color in range(len(ends) - 1, 0, -1):
-            bound = size + color
-            for v in order[ends[color - 1]:ends[color]]:
-                child = cand & adj[v]
-                yield bound, v, child, self._color_node
-                cand ^= 1 << v
-                if child == cand:
+                v = (live & -live if inherited else live).bit_length() - 1
+                bit = 1 << v
+                live ^= bit
+                cand ^= bit
+                below = cand & adj[v]
+                yield size + k, v, below, child
+                if below == cand:
                     return
 
-    def _color_sort(self, cand: int) -> tuple[list[int], list[int]]:
+    def _color_sort(self, cand: int) -> list[int]:
         """Greedy coloring from the highest vertex down, one class at a time:
         first-fit puts in each class the greedy independent set, in that
-        order, of the vertices not yet colored.
-        Returns the vertices class by class, in the order they were colored,
-        and ``ends``, where colour k is ``order[ends[k-1]:ends[k]]``. One flat
-        list, not a list per class: an open node keeps its coloring, and a
-        list per class raised the peak memory of a budgeted (7,2) search by
-        about 0.6 MB."""
+        order, of the vertices not yet colored. Returns the classes as
+        bitsets, in the order they were colored. An open node keeps them,
+        each an int as wide as its top member: the tracemalloc peak of an
+        enumerate-all (7,2) search is 1.4 MB, against 0.7 MB for one flat
+        list of members with class ends."""
         adj = self.adj
-        order, ends = [], [0]
+        classes = []
         while cand:
-            q = cand
+            rest = q = cand
             while q:
                 v = q.bit_length() - 1
-                order.append(v)
                 bit = 1 << v
-                cand ^= bit
+                rest ^= bit
                 q ^= bit
                 q ^= q & adj[v]
-            ends.append(len(order))
-        return order, ends
+            classes.append(cand ^ rest)
+            cand = rest
+        return classes
 
 
 def _check_budget(time_budget: float | None) -> None:

@@ -3,10 +3,18 @@ import pytest
 from cycleint import intersect
 
 
+@pytest.fixture(autouse=True)
+def fresh_tables():
+    """Each test starts from an empty cache of tables, as a fresh process
+    does: what the memory guard counts depends on the bitsets that earlier
+    walks left in the tables."""
+    intersect._build_sn_table.cache_clear()
+
+
 @pytest.fixture
 def bitset_builds(monkeypatch) -> list:
     """The (n!, t) of each call to ``_SnTable.neighbours`` that builds its
-    table's per-cycle bitsets, from an empty cache of tables on."""
+    table's per-cycle bitsets, from the test's empty cache of tables on."""
     built = []
     neighbours = intersect._SnTable.neighbours
 
@@ -18,5 +26,4 @@ def bitset_builds(monkeypatch) -> list:
         return result
 
     monkeypatch.setattr(intersect._SnTable, "neighbours", counted)
-    intersect._build_sn_table.cache_clear()
     return built

@@ -27,7 +27,7 @@ near_complete_graphs = st.tuples(st.integers(1, 12), st.floats(0.9, 1.0),
                                  st.randoms(use_true_random=False))
 # random graphs with k >= 1 vertices adjacent to every other vertex: such a
 # vertex is adjacent to every other candidate at each node that holds it,
-# so the colouring search closes that node after branching on it
+# so on either path that node closes after branching on it
 universal_graphs = st.tuples(st.integers(0, 10), st.floats(0.2, 0.9),
                              st.randoms(use_true_random=False), st.integers(1, 3))
 

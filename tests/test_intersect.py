@@ -315,6 +315,22 @@ def test_each_degree_builds_its_per_cycle_bitsets_once(bitset_builds):
     assert bitset_builds == [(120, 1), (720, 2)]
 
 
+def test_a_walk_at_t_zero_counts_the_bitsets_a_walk_at_t_one_kept(monkeypatch):
+    # the 120 rows of 120 bits need 1800 bytes, and the 89 per-cycle bitsets
+    # that a walk at t = 1 leaves in the table of S_5 are held beside them
+    rows, bitsets = 120 * 120 // 8, 89 * 120 // 8
+    build_intersection_graph(5, 1)
+    monkeypatch.setattr(intersect, "_memory_limit", lambda: rows + bitsets - 1)
+    with pytest.raises(ValueError, match=f"^degree 5: the adjacency rows and the "
+                                         f"per-cycle bitsets need {rows + bitsets} bytes"):
+        build_intersection_graph(5, 0)
+    monkeypatch.setattr(intersect, "_memory_limit", lambda: bitsets - 1)
+    with pytest.raises(ValueError, match=f"^degree 5: the per-cycle bitsets need {bitsets} "):
+        maximalize(PermFamily(5, [identity(5)]), 0)
+    monkeypatch.setattr(intersect, "_memory_limit", lambda: rows + bitsets)
+    assert build_intersection_graph(5, 0).size == 120
+
+
 def test_building_a_family_hashes_no_permutation(monkeypatch):
     perms = list(all_permutations(4))
     hashed = []

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from cycleint import config, intersect, perm, search, transform
-from cycleint.extremal import f_family, f_family_size, quad_value, stabilizer_family
+from cycleint.extremal import (compare_extremal, f_family, f_family_size, quad_value,
+                               stabilizer_family)
 from cycleint.gensets import fix_prefix_count
 from cycleint.intersect import (PermFamily, _sn_table, build_intersection_graph,
                                 is_family_t_cycle_intersecting, is_maximal)
@@ -358,6 +359,9 @@ INTEGER_PARAMETERS = [
     (unrank, (4, 1.5), "r"),
     (quad_value, ("3", 1, 2), "n"),
     (quad_value, (3, 1, 2.0), "delta"),
+    (compare_extremal, (7, 3, (1.5, "0")), "i"),
+    (compare_extremal, (7, 3, ("0",)), "i"),
+    (compare_extremal, (7, 3, (1, True)), "i"),
 ]
 
 
@@ -624,6 +628,12 @@ def _scan_color_sort(adj, scan_order, cand):
     return class_members
 
 
+def _members_from_the_top(bits):
+    """The members of a class bitset, highest first: the order in which the
+    class was colored."""
+    return [v for v in range(bits.bit_length() - 1, -1, -1) if bits >> v & 1]
+
+
 def test_renumbered_coloring_matches_scan_order_reference():
     rng = random.Random(10)
     for n in range(1, 7):
@@ -633,8 +643,8 @@ def test_renumbered_coloring_matches_scan_order_reference():
             clique_search = search._CliqueSearch(graph, True, None)
             full = (1 << graph.size) - 1
             for cand in [full] + [rng.getrandbits(graph.size) for _ in range(10)]:
-                order_by_class, ends = clique_search._color_sort(cand)
-                classes = [order_by_class[a:b] for a, b in zip(ends, ends[1:])]
+                classes = [_members_from_the_top(bits)
+                           for bits in clique_search._color_sort(cand)]
                 assert classes == _scan_color_sort(graph.adj, order, cand), (n, t, cand)
 
 
@@ -656,10 +666,10 @@ def _bottom_up_renumber(adj, order):
 class _BottomUpSearch(search._CliqueSearch):
     """The coloring search with vertex i renumbered as ``order[i]``, by
     descending rank, each class scanned from its lowest bit up, and the
-    coloring returned as flat vertex and colour lists: the reference for the
-    kernel that scans the rows in rank order from the highest bit down and
-    returns class ends, which must visit the same vertices in the same
-    order."""
+    coloring returned as flat vertex and colour lists, with its own node
+    generator: the reference for the core, which scans the rows in rank
+    order from the highest bit down and returns class bitsets, and must
+    visit the same vertices in the same order."""
 
     def run(self):
         self._tick()
@@ -811,7 +821,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
 
 
 @pytest.mark.parametrize("mode,nodes,cutoffs,witnesses", [
-    (search.SIZE_ONLY, 4, 4, 1), (ENUMERATE_ALL, 24, 24, 6)])
+    (search.SIZE_ONLY, 4, 4, 1), (ENUMERATE_ALL, 24, 20, 6)])
 def test_coset_search_counts_are_pinned(mode, nodes, cutoffs, witnesses):
     result = max_family_search(6, 1, mode=mode)
     assert result.complete and result.certificate["group"] == "C_6"
@@ -820,7 +830,7 @@ def test_coset_search_counts_are_pinned(mode, nodes, cutoffs, witnesses):
 
 
 @pytest.mark.parametrize("n,t,k,counts", [(7, 2, 400, (401, 116, 120, 5)),
-                                          (7, 1, 40, (41, 30, 720, 5))])
+                                          (7, 1, 40, (41, 23, 720, 5))])
 def test_counts_at_a_forced_expiry_are_pinned(monkeypatch, n, t, k, counts):
     # (7,1) ends at node 60; by node 41 it has recorded 5 of the 7 point
     # stabilizers
@@ -836,15 +846,16 @@ def test_counts_at_a_forced_expiry_are_pinned(monkeypatch, n, t, k, counts):
 
 
 class _InheritanceCheck(search._CliqueSearch):
-    """The coset search, asserting at every node it opens that the
-    candidates lie in the union of the classes that the node inherits."""
+    """The search, asserting at every node it opens on inherited classes
+    that the candidates lie in the union of those classes."""
 
     checked = 0
 
-    def _coset_node(self, classes, top, cand, size):
-        assert not cand & ~functools.reduce(operator.or_, classes[:top], 0)
-        self.checked += 1
-        return super()._coset_node(classes, top, cand, size)
+    def _node(self, cand, size, classes=None, top=0):
+        if classes is not None:
+            assert not cand & ~functools.reduce(operator.or_, classes[:top], 0)
+            self.checked += 1
+        return super()._node(cand, size, classes, top)
 
 
 def _sorted_cliques(clique_search):
@@ -886,7 +897,7 @@ def test_singleton_children_inherit_their_candidates(monkeypatch):
 def test_seven_one_enumerate_all_counts_are_pinned():
     result = max_family_search(7, 1, mode=ENUMERATE_ALL, cap=7)
     assert result.complete
-    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (60, 60, 7)
+    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (60, 31, 7)
     assert result.max_size == 720
     assert (result.certificate["group"], result.certificate["classes"]) == ("C_7", 720)
 
@@ -895,7 +906,7 @@ def test_eight_one_enumerate_all_counts_are_pinned():
     # about 255 MB peak, nearly all of it the S_8 graph's rows
     result = max_family_search(8, 1, mode=ENUMERATE_ALL, cap=8)
     assert result.complete
-    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (228, 228, 8)
+    assert (result.nodes, result.cutoffs, len(result.witnesses)) == (228, 57, 8)
     assert result.max_size == 5040
     assert set(result.witnesses) == {stabilizer_family((x,), 8, cap=8)
                                      for x in range(1, 9)}
