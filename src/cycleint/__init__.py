@@ -14,7 +14,7 @@ from .gensets import (GeneratingSetCertificate, SetSystem, SurgeryReport,
                       left_shift_set, left_shift_system, max_element,
                       minimal_elements, partition_by_max_element,
                       reduced_fix_prefix_family, system_max_element,
-                      up_permutations, up_permutations_system)
+                      up_permutations_system)
 from .intersect import (IntersectionGraph, PermFamily, build_intersection_graph,
                         is_family_t_cycle_intersecting, is_maximal,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,

@@ -101,8 +101,10 @@ def _cmd_gensets(args) -> int:
     if args.derive:
         payload["certificate"] = cert.to_json_dict()
         payload["fix_system"] = fix_system(family).to_json_dict()
-    wanted = list(_GENSET_CHECKS) if args.check == "all" else \
-        [c.strip() for c in args.check.split(",") if c.strip()] if args.check else []
+    wanted = [] if args.check is None else list(_GENSET_CHECKS) if args.check == "all" \
+        else [c.strip() for c in args.check.split(",") if c.strip()]
+    if args.check is not None and not wanted:
+        raise ValueError("empty --check")
     for name in wanted:
         if name not in _GENSET_CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {_GENSET_CHECKS}")
@@ -155,7 +157,7 @@ def _cmd_extremal(args) -> int:
     i_values = []
     for name in (args.families or "F0,F1").split(","):
         name = name.strip()
-        if not name.upper().startswith("F") or not name[1:].isdigit():
+        if not name.upper().startswith("F") or not name[1:].isdecimal():
             raise ValueError(f"unknown family name {name!r}; use F0, F1, F2, ...")
         i_values.append(int(name[1:]))
     comparison = compare_extremal(args.n, args.t, i_values)

@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import sys
 
-from . import config
-from .gensets import _pattern_count, up_permutations
-from .intersect import PermFamily, _check_t, _fixed_point_family
+from .gensets import _pattern_count
+from .intersect import PermFamily, _check_t, _fixed_point_family, _within_cap
 from .perm import _check_int, parse_degree, parse_points, point_mask
 from .report import _FrozenRecord
 
@@ -26,7 +25,8 @@ def stabilizer_family(points, n: int, cap: int | None = None) -> PermFamily:
     points = tuple(points)
     if len(parse_points(points, parse_degree(n))) != len(points):
         raise ValueError("stabilized points must be distinct")
-    return up_permutations(points, n, cap)
+    want = point_mask(points)
+    return _fixed_point_family(n, lambda mask: mask & want == want, cap)
 
 
 def f_family(n: int, t: int, i: int, cap: int | None = None) -> PermFamily:
@@ -77,12 +77,11 @@ def compare_extremal(n: int, t: int, i_values=(0, 1)) -> ExtremalComparison:
     for i in i_values:
         _check_f_params(n, t, i)
     _refuse_unprintable_sizes(n, t, i_values)
-    limit = config.enumeration_cap()
     sizes: dict[str, int] = {}
-    cross_checked = n <= limit
+    cross_checked = _within_cap(n)
     for i in i_values:
         counted = f_family_size(n, t, i)
-        if n <= limit:
+        if cross_checked:
             enumerated = len(f_family(n, t, i))
             if enumerated != counted:
                 raise AssertionError(

@@ -90,14 +90,6 @@ class SetSystem:
                                            if m not in other._mask_set))
 
 
-def up_permutations(points: Iterable[int], n: int,
-                    cap: int | None = None) -> PermFamily:
-    """All degree-n permutations fixing every listed point; size (n - |B|)!.
-    The points are checked with :func:`perm.parse_points`."""
-    want = point_mask(parse_points(points, parse_degree(n)))
-    return _fixed_point_family(n, lambda mask: mask & want == want, cap)
-
-
 def up_permutations_system(system: SetSystem) -> PermFamily:
     """Union of the up-permutation sets of all members."""
     masks = system.masks

@@ -10,9 +10,12 @@ permutations in rank order with their fixed-point bitmasks and cycle ids,
 and, from the first walk at t > 0 on, the per-cycle row bitsets that every
 graph row and maximality question at that degree is built from.
 One guard, ``_check_walk``, refuses before any walk what the walk cannot
-do: a bad degree, bitsets beyond memory, a negative t, a degree beyond the
-enumeration cap. The table lookup runs it; a walk that reads no table runs
-it itself.
+do: a bad degree, a negative t, a degree beyond the enumeration cap,
+bitsets beyond memory. The table lookup runs it; a walk that reads no table
+runs it itself. The guard alone reads the cap, ``enumeration_cap``, whose
+default the environment variable ``CYCLEINT_ENUMERATION_CAP`` overrides,
+and the memory limit; a cross-check asks ``_within_cap`` whether it may
+enumerate.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 
-from . import config
 from .perm import (Permutation, _check_int, all_permutations, parse_cycles,
                    parse_degree, rank)
 
@@ -274,30 +276,62 @@ def _cycle_count(n: int) -> int:
     return sum(math.comb(n, k) * math.factorial(k - 1) for k in range(1, n + 1))
 
 
+DEFAULT_ENUMERATION_CAP = 7
+
+ENUMERATION_CAP_ENV = "CYCLEINT_ENUMERATION_CAP"
+
+
+def enumeration_cap(override: int | None = None) -> int:
+    """Largest degree for which S_n may be fully materialized: the override
+    if given, which must be an ``int`` (a ``bool`` is not), else the
+    environment variable, else the default."""
+    if override is not None:
+        if not isinstance(override, int) or isinstance(override, bool):
+            raise ValueError(f"enumeration cap must be an integer, got {override!r}")
+        if override < 1:
+            raise ValueError("enumeration cap must be positive")
+        return override
+    raw = os.environ.get(ENUMERATION_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ENUMERATION_CAP
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{ENUMERATION_CAP_ENV} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"{ENUMERATION_CAP_ENV} must be positive, got {value}")
+    return value
+
+
+def _within_cap(n: int) -> bool:
+    """Whether ``_check_walk`` admits degree n past the enumeration cap: what
+    a cross-check asks before it enumerates."""
+    return n <= enumeration_cap()
+
+
 def _check_walk(n: int, t: int = 0, cap: int | None = None,
                 rows: bool = False) -> None:
     """Refuse, before S_n is walked, in this order: a bad degree; a bad t;
-    at or below the enumeration cap, the bitsets of n! bits the walk holds
-    beyond ``_memory_limit()``, which are n! adjacency rows with ``rows``
-    and, at t > 0, one per distinct cycle (about 5.7 GB at n = 9); a degree
-    beyond the enumeration cap. So a bad degree is never reported as a cap
-    error, nor a degree above the cap as a memory error."""
+    a degree beyond the enumeration cap; the bitsets of n! bits the walk
+    holds beyond ``_memory_limit()``, which are n! adjacency rows with
+    ``rows`` and, at t > 0, one per distinct cycle (about 5.7 GB at n = 9).
+    So a bad degree is never reported as a cap error, nor a degree above the
+    cap as a memory error."""
     parse_degree(n)
     _check_t(t)
-    limit = config.enumeration_cap(cap)
-    if n <= limit:
-        held = {}
-        if rows:
-            held["the adjacency rows"] = math.factorial(n)
-        if t > 0:
-            held["the per-cycle bitsets"] = _cycle_count(n)
-        need = sum(held.values()) * math.factorial(n) // 8
-        have = _memory_limit()
-        if need > have:
-            raise ValueError(f"degree {n}: {' and '.join(held)} need {need} bytes, "
-                             f"more than the {have} bytes this process may use")
+    limit = enumeration_cap(cap)
     if n > limit:
         raise ValueError(f"degree {n} exceeds enumeration cap {limit}")
+    held = {}
+    if rows:
+        held["the adjacency rows"] = math.factorial(n)
+    if t > 0:
+        held["the per-cycle bitsets"] = _cycle_count(n)
+    need = sum(held.values()) * math.factorial(n) // 8
+    have = _memory_limit()
+    if need > have:
+        raise ValueError(f"degree {n}: {' and '.join(held)} need {need} bytes, "
+                         f"more than the {have} bytes this process may use")
 
 
 def _check_t(t: int) -> int:

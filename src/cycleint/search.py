@@ -35,7 +35,6 @@ import math
 import random
 import time
 
-from . import config
 from .extremal import (_refuse_unprintable_sizes, f_family, f_family_size,
                        quad_inequality_check, stabilizer_family)
 from .gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
@@ -43,7 +42,7 @@ from .gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
                       is_generating_set, is_t_intersecting_system,
                       left_shift_minimals, reduced_fix_prefix_family)
 from .intersect import (IntersectionGraph, PermFamily, _check_t, _check_walk,
-                        _joinable, _sn_table, build_intersection_graph,
+                        _joinable, _sn_table, _within_cap, build_intersection_graph,
                         is_stabilizer_of_points, is_t_cycle_intersecting_pair,
                         maximalize, stabilized_points)
 from .perm import _check_int, all_permutations, parse_degree
@@ -432,7 +431,7 @@ def verify_counterexample_regime(n: int, t: int) -> VerificationReport:
     f0 = math.factorial(n - t)
     f1 = f_family_size(n, t, 1)
     rep.stats["sizes"] = {"F0": f0, "F1": f1}
-    if n <= config.enumeration_cap():
+    if _within_cap(n):
         enumerated = len(f_family(n, t, 1))
         rep.add_bool("counting-mode-matches-enumeration", params, enumerated == f1,
                      witness={"enumerated": enumerated, "counted": f1})

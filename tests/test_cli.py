@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycleint
-from cycleint import config, transform
+from cycleint import intersect, transform
 from cycleint.cli import main
 from cycleint.extremal import stabilizer_family
 from cycleint.intersect import PermFamily
@@ -119,6 +119,17 @@ def test_gensets_check_requires_t(stab_family_file):
                  "--check", "all"]) == 2
 
 
+@pytest.mark.parametrize("check", ["", ",", " , "])
+def test_gensets_empty_check_is_a_usage_error(tmp_path, stab_family_file, check, capsys):
+    out = tmp_path / "out.json"
+    assert main(["gensets", "--family", str(stab_family_file), "--t", "2",
+                 "--check", check, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: empty --check\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_gensets_failing_check_exits_one(tmp_path):
     # the family fixing at least 2 of the first 3 points in S_4 derives the
     # left-compressed antichain of 2-subsets of [3], which violates the
@@ -171,6 +182,13 @@ def test_extremal_refuses_a_count_too_long_to_print(capsys):
 
 def test_extremal_rejects_unknown_family_name():
     assert main(["extremal", "--n", "6", "--t", "3", "--families", "G1"]) == 2
+
+
+@pytest.mark.parametrize("name", ["F\u00b2", "F\u2082", "F"])
+def test_extremal_rejects_family_names_that_are_not_decimal(name, capsys):
+    assert main(["extremal", "--n", "6", "--t", "3", "--families", name]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown family name {name!r}; use F0, F1, F2, ...\n"
 
 
 def test_extremal_quad(tmp_path):
@@ -230,7 +248,7 @@ def test_search_exports_the_graph_it_searched(tmp_path, monkeypatch, capsys):
     def refuse(n):
         raise AssertionError(f"walked S_{n}")
 
-    monkeypatch.delenv(config.ENUMERATION_CAP_ENV, raising=False)
+    monkeypatch.delenv(intersect.ENUMERATION_CAP_ENV, raising=False)
     monkeypatch.setattr(intersect, "_build_sn_table", refuse)
     capsys.readouterr()
     edges = tmp_path / "graph9.txt"
@@ -245,7 +263,7 @@ def test_search_refuses_rows_beyond_physical_memory(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError(f"walked S_{n}")
 
-    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "10")
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, "10")
     monkeypatch.setattr(intersect, "all_permutations", refuse)
     assert main(["search", "--n", "10", "--t", "1"]) == 2
     # rows and 1 112 083 per-cycle bitsets of 10! bits: about 2.15 TB
@@ -505,7 +523,7 @@ def test_search_budget_must_be_finite_and_not_negative(capsys, budget):
         assert not captured.out
 
 
-ENUMERATION_CAP_4 = (config.ENUMERATION_CAP_ENV, "4", "exceeds enumeration cap 4")
+ENUMERATION_CAP_4 = (intersect.ENUMERATION_CAP_ENV, "4", "exceeds enumeration cap 4")
 
 
 @pytest.mark.parametrize("env, value, message, argv", [
@@ -535,7 +553,7 @@ def test_counterexample_cross_check_skipped_above_enumeration_cap(
     assert main(argv) == 0
     names = [r["check"] for r in read_json(out)["records"]]
     assert "counting-mode-matches-enumeration" in names
-    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "4")
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, "4")
     assert main(argv) == 0
     names = [r["check"] for r in read_json(out)["records"]]
     assert "counting-mode-matches-enumeration" not in names

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleint import config, report
+from cycleint import intersect, report
+from cycleint.extremal import stabilizer_family
 from cycleint.gensets import (SetSystem, certify_generating_set,
                               check_pair_overlap_t_plus_one,
                               derive_star_generating_set, disjoint_union_check,
@@ -17,7 +18,7 @@ from cycleint.gensets import (SetSystem, certify_generating_set,
                               left_shift_set, left_shift_system, max_element,
                               minimal_elements, partition_by_max_element,
                               reduced_fix_prefix_family, system_max_element,
-                              up_permutations, up_permutations_system)
+                              up_permutations_system)
 from cycleint.intersect import PermFamily, maximalize
 from cycleint.perm import Permutation, all_permutations, identity, unrank
 from cycleint.report import FAIL, HYPOTHESIS_NOT_MET, PASS
@@ -99,23 +100,10 @@ def test_set_system_difference_union():
 
 # --- up-permutations and generating sets ------------------------------------
 
-def test_up_permutations_examples():
-    assert len(up_permutations((), 3)) == 6
-    assert len(up_permutations((1, 2), 4)) == 2
-    assert up_permutations(range(1, 5), 4) == PermFamily(4, [identity(4)])
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_up_permutations_size(n):
-    for r in range(n + 1):
-        for points in itertools.combinations(range(1, n + 1), r):
-            assert len(up_permutations(points, n)) == math.factorial(n - r)
-
-
 def test_up_permutations_system_examples():
     assert len(up_permutations_system(SetSystem(3, [(1,), (2,)]))) == 3
     single = SetSystem(4, [(1, 2)])
-    assert up_permutations_system(single) == up_permutations((1, 2), 4)
+    assert up_permutations_system(single) == stabilizer_family((1, 2), 4)
     assert up_permutations_system(SetSystem(4, [(1, 2)])) == stab({1, 2}, 4)
 
 
@@ -306,7 +294,7 @@ def test_disjoint_union_gates_on_one_maximality_verdict(monkeypatch):
     assert check(pair + [(3, 2, 1)], 1) == "family is not 1-cycle-intersecting"
     assert check([(1, 2, 3, 4), (1, 2, 4, 3)], 1) == "family is not maximal"
     # a degree above the enumeration cap is an error, not an unmet hypothesis
-    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "2")
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, "2")
     with pytest.raises(ValueError, match="exceeds enumeration cap"):
         check([(1, 2, 3)], 1)
 

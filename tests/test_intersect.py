@@ -8,7 +8,7 @@ import re
 import pytest
 
 import cycleint
-from cycleint import config, extremal, gensets, intersect
+from cycleint import extremal, gensets, intersect
 from cycleint.extremal import f_family, stabilizer_family
 from cycleint.gensets import (SetSystem, fix_prefix_family, is_disjoint_union,
                               is_generating_set, reduced_fix_prefix_family,
@@ -146,6 +146,31 @@ def test_graph_and_maximalize_refuse_a_negative_t():
             call()
 
 
+def test_enumeration_cap_defaults():
+    assert intersect.enumeration_cap() == intersect.DEFAULT_ENUMERATION_CAP == 7
+
+
+def test_enumeration_cap_override_argument_wins(monkeypatch):
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, "4")
+    assert intersect.enumeration_cap() == 4
+    assert intersect.enumeration_cap(9) == 9
+
+
+def test_enumeration_cap_env_values_validated(monkeypatch):
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, "zero")
+    with pytest.raises(ValueError, match="must be an integer, got 'zero'"):
+        intersect.enumeration_cap()
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, "0")
+    with pytest.raises(ValueError, match="must be positive, got 0"):
+        intersect.enumeration_cap()
+
+
+@pytest.mark.parametrize("override", [True, 7.5, "8"])
+def test_enumeration_cap_override_must_be_an_integer(override):
+    with pytest.raises(ValueError, match="^enumeration cap must be an integer, got "):
+        intersect.enumeration_cap(override)
+
+
 def test_graph_cap_refused():
     with pytest.raises(ValueError, match="cap"):
         build_intersection_graph(8, 1)
@@ -154,10 +179,10 @@ def test_graph_cap_refused():
 
 
 def test_graph_cap_env_override(monkeypatch):
-    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "3")
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, "3")
     with pytest.raises(ValueError, match="cap"):
         build_intersection_graph(4, 1)
-    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "4")
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, "4")
     assert build_intersection_graph(4, 1).size == 24
 
 

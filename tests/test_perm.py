@@ -3,8 +3,7 @@ import pytest
 from cycleint.extremal import (compare_extremal, f_family, quad_inequality_check,
                                stabilizer_family)
 from cycleint.gensets import (SetSystem, fix_prefix_count, fix_prefix_family,
-                              left_shift_set, reduced_fix_prefix_family,
-                              up_permutations)
+                              left_shift_set, reduced_fix_prefix_family)
 from cycleint.intersect import PermFamily, build_intersection_graph
 from cycleint.perm import (Permutation, all_permutations, compose, conjugate,
                            from_cycles, identity, parse_cycles, parse_degree,
@@ -67,7 +66,7 @@ def test_parse_degree():
     lambda n: PermFamily.from_images(n, []),
     lambda n: SetSystem(n),
     lambda n: build_intersection_graph(n, 1),
-    lambda n: up_permutations((), n),
+    lambda n: stabilizer_family((1, 2), n),
     lambda n: left_shift_set((), n),
     lambda n: fix_prefix_family((1,), n),
     lambda n: stabilizer_family((), n),
@@ -80,7 +79,7 @@ def test_parse_degree():
     lambda n: compare_extremal(n, 1),
     lambda n: verify_counterexample_regime(n, 1),
     lambda n: reduced_fix_prefix_family((1,), n),
-    lambda n: up_permutations((1,), n),
+    lambda n: stabilizer_family((1, 1), n),
     lambda n: stabilizer_family((1,), n),
     lambda n: fix_prefix_count(n, 1, 1),
     lambda n: quad_inequality_check(n, 1)])
@@ -95,7 +94,7 @@ def test_every_degree_is_parsed(call, n):
     lambda: from_cycles(3, [(1.0, 2)]),
     lambda: SetSystem(3, [[True]]),
     lambda: stabilizer_family((1.0,), 3),
-    lambda: up_permutations(("1",), 3)])
+    lambda: stabilizer_family(("1",), 3)])
 def test_direct_calls_reject_non_int_points(call):
     with pytest.raises(ValueError, match="not an integer"):
         call()

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cycleint import config, intersect, perm, search, transform
+from cycleint import intersect, perm, search, transform
 from cycleint.extremal import (compare_extremal, f_family, f_family_size, quad_value,
                                stabilizer_family)
 from cycleint.gensets import fix_prefix_count
@@ -39,7 +39,7 @@ def test_naive_oracle_refuses_what_the_solver_refuses(monkeypatch):
                  lambda: max_family_search(3, -1)):
         with pytest.raises(ValueError, match="^t must be at least 0, got -1$"):
             call()
-    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "3")
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, "3")
     with pytest.raises(ValueError, match="^degree 4 exceeds enumeration cap 3$"):
         naive_max_family_size(4, 1)
 
@@ -140,7 +140,7 @@ def test_search_cap_rules(monkeypatch):
     def refuse(n):
         raise AssertionError(f"walked S_{n}")
 
-    monkeypatch.delenv(config.ENUMERATION_CAP_ENV, raising=False)
+    monkeypatch.delenv(intersect.ENUMERATION_CAP_ENV, raising=False)
     with monkeypatch.context() as patched:
         patched.setattr(intersect, "_build_sn_table", refuse)
         with pytest.raises(ValueError, match="^degree 8 exceeds enumeration cap 7$"):
@@ -183,9 +183,43 @@ def test_conjugacy_representatives_collapse_stabilizers():
 
 
 def test_conjugacy_representatives_cap_refused(monkeypatch):
-    monkeypatch.setenv(config.ENUMERATION_CAP_ENV, "4")
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, "4")
     with pytest.raises(ValueError, match="cap"):
         conjugacy_representatives([], 5)
+
+
+@pytest.mark.parametrize("cap", [5, 6, 7, 8])
+def test_cross_checks_follow_the_guard(monkeypatch, cap):
+    from cycleint import extremal
+
+    monkeypatch.setenv(intersect.ENUMERATION_CAP_ENV, str(cap))
+    calls = []
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return f_family(n, *args, **kwargs)
+
+    monkeypatch.setattr(extremal, "f_family", counted)
+    monkeypatch.setattr(search, "f_family", counted)
+    for n in range(1, cap + 3):
+        try:
+            intersect._check_walk(n)
+            admitted = True
+        except ValueError:
+            admitted = False
+        within = intersect._within_cap(n)
+        assert within == admitted == (n <= cap)
+        if n >= 3:
+            # F0 and F1 at t = 1, enumerated once each within the cap
+            calls.clear()
+            assert compare_extremal(n, 1).cross_checked == within
+            assert calls == [n, n] * within
+        if n >= 6:
+            # t = n - 3 is the largest t of the counterexample regime at n
+            calls.clear()
+            names = [r.check for r in verify_counterexample_regime(n, n - 3).records]
+            assert ("counting-mode-matches-enumeration" in names) == within
+            assert calls == [n] * within
 
 
 def _minimum_over_sn_representatives(witnesses, n):

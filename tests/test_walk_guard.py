@@ -2,10 +2,10 @@
 The cached table is read only through ``_sn_table``, which runs the guard; the
 memory limit is read only by the guard; and S_n is enumerated only by the
 table and by the naive oracle, which runs the guard itself. The guard's cap,
-``config.enumeration_cap``, is the one degree limit: only ``config`` reads the
-environment, and no call sets a cap of its own. The check is by name on the
-syntax tree, like the one in ``test_public_api``, so a new walk of S_n, a
-second cap or a way round the cap cannot come in unnoticed."""
+``intersect.enumeration_cap``, is the one degree limit: only ``intersect``
+reads it and the environment, and no call sets a cap of its own. The check
+is by name on the syntax tree, like the one in ``test_public_api``, so a new
+walk of S_n, a second cap or a way round the cap cannot come in unnoticed."""
 
 import ast
 from pathlib import Path
@@ -49,8 +49,8 @@ def test_walks_that_read_no_table_run_the_guard_themselves():
                                        "search.naive_max_family_size"}
 
 
-def test_only_config_reads_the_environment():
-    assert _readers("environ") | _readers("getenv") == {"config.enumeration_cap"}
+def test_only_the_cap_reads_the_environment():
+    assert _readers("environ") | _readers("getenv") == {"intersect.enumeration_cap"}
 
 
 def test_no_call_sets_a_cap_of_its_own():
@@ -66,9 +66,10 @@ def test_no_call_sets_a_cap_of_its_own():
     assert not invented
 
 
-def test_only_the_guard_and_the_cross_checks_read_the_cap():
-    # the cross-checks ask whether a degree may be enumerated, and walk only
-    # through the guard; nothing else reads ``config``
-    readers = {"intersect._check_walk", "search.verify_counterexample_regime",
-               "extremal.compare_extremal"}
-    assert _readers("enumeration_cap") == _readers("config") == readers
+def test_only_intersect_reads_the_cap():
+    # the cross-checks ask the guard's own comparison, ``_within_cap``, and
+    # there is no ``config`` module left to read
+    assert _readers("enumeration_cap") == {"intersect._check_walk",
+                                           "intersect._within_cap"}
+    assert not _readers("config")
+    assert not (PACKAGE / "config.py").exists()
