@@ -100,6 +100,19 @@ def test_set_system_difference_union():
 
 # --- up-permutations and generating sets ------------------------------------
 
+def test_up_permutations_examples():
+    assert len(stabilizer_family((), 3)) == 6
+    assert len(stabilizer_family((1, 2), 4)) == 2
+    assert stabilizer_family(range(1, 5), 4) == PermFamily(4, [identity(4)])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_up_permutations_size(n):
+    for r in range(n + 1):
+        for points in itertools.combinations(range(1, n + 1), r):
+            assert len(stabilizer_family(points, n)) == math.factorial(n - r)
+
+
 def test_up_permutations_system_examples():
     assert len(up_permutations_system(SetSystem(3, [(1,), (2,)]))) == 3
     single = SetSystem(4, [(1, 2)])
