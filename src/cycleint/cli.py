@@ -154,13 +154,13 @@ def _cmd_extremal(args) -> int:
         return 0 if not failures else 1
     if args.n is None or args.t is None:
         raise ValueError("extremal comparison requires --n and --t")
-    i_values = []
-    for name in (args.families or "F0,F1").split(","):
-        name = name.strip()
+    names = [name.strip() for name in args.families.split(",")]
+    if not any(names):
+        raise ValueError("empty --families")
+    for name in names:
         if not name.upper().startswith("F") or not name[1:].isdecimal():
             raise ValueError(f"unknown family name {name!r}; use F0, F1, F2, ...")
-        i_values.append(int(name[1:]))
-    comparison = compare_extremal(args.n, args.t, i_values)
+    comparison = compare_extremal(args.n, args.t, [int(name[1:]) for name in names])
     _write_json(args.out, comparison.to_json_dict())
     sizes = " ".join(f"|{k}|={v}" for k, v in comparison.sizes.items())
     print(f"(n={args.n}, t={args.t}): " + "; ".join([sizes, *comparison.verdicts]))
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional sub-mode: quad")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--families", default=None, help="e.g. F0,F1")
+    p.add_argument("--families", default="F0,F1", help="e.g. F0,F1")
     p.add_argument("--t-max", type=int, default=50, help="quad mode: largest t")
     p.add_argument("--n-span", type=int, default=40,
                    help="quad mode: check n in [2t+1, 2t+span]")

@@ -3,10 +3,11 @@
 The search is exact branch-and-bound maximum clique on the intersection
 graph, with candidates in big-int bitsets: one depth-first loop over an
 explicit stack, whose nodes all branch on a colouring held as class bitsets.
-At t = 1 the left cosets of C_n, each read off as the n rotations of a
-permutation's image tuple, are checked to be independent sets covering the
-graph; they then bound every clique by their number, (n-1)!, and colour the
-root, and each child inherits the classes below the one it branched on.
+At t = 1 ``max_family_search`` checks that the left cosets of C_n, each read
+off as the n rotations of a permutation's image tuple, are independent sets
+covering the graph; they then bound every clique by their number, (n-1)!,
+and colour the root of the core, ``_CliqueSearch``, which knows only the
+rows, and each child inherits the classes below the one it branched on.
 Every other t, t = 0 included, colours each node's candidates afresh: a
 greedy colouring, one class at a time on bitsets from the highest rank
 down (BBMC), on the graph's rows in rank order, as built. A node closes
@@ -111,37 +112,28 @@ def _colouring(adj, classes: list[list[int]]) -> list[int] | None:
 
 
 class _CliqueSearch:
-    """Exact maximum clique search: one depth-first loop over an explicit
-    stack, and one node generator, ``_node``, over a colouring held as
-    class bitsets. At the root the classes of ``_coset_classes``, where they
-    are a ``_colouring``, are that colouring, and each child inherits the
-    classes below the one it branched on; else every node colours its
-    candidates afresh with ``_color_sort``."""
+    """Exact maximum clique search on the adjacency rows ``adj``: one
+    depth-first loop over an explicit stack, and one node generator,
+    ``_node``, over a colouring held as class bitsets. The caller chooses the
+    root colouring: classes handed to ``run`` colour the root and each child
+    inherits the classes below the one it branched on; without them every
+    node colours its candidates afresh with ``_color_sort``."""
 
-    def __init__(self, graph: IntersectionGraph, enumerate_all: bool,
-                 deadline: float | None):
-        self.graph = graph
-        self.adj = graph.adj
+    def __init__(self, adj, enumerate_all: bool, deadline: float | None):
+        self.adj = adj
         self.enumerate_all = enumerate_all
         self.deadline = deadline
         self.best = 0
         self.cliques: list[tuple[int, ...]] = []
         self.nodes = 0
         self.cutoffs = 0
-        self.certificate: dict | None = None
 
-    def run(self) -> None:
-        # the root is node 1, and it reads the clock before any coset or
-        # colouring work
+    def run(self, classes: list[int] | None = None) -> None:
+        """Searches from the root, node 1, which reads the clock first;
+        ``classes``, a proper colouring as ``_colouring`` gives, colour it."""
         self._tick()
         full = (1 << len(self.adj)) - 1
-        found = _coset_classes(self.graph)
-        classes = found and _colouring(self.adj, found[1])
-        if classes:
-            self.certificate = found[0]
-            self._search(self._node(full, 0, classes, len(classes)))
-            return
-        self._search(self._node(full, 0))
+        self._search(self._node(full, 0, classes, len(classes or ())))
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -284,9 +276,12 @@ def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
 
     The graph is built, inside the budget, with ``cap`` as the enumeration
     cap override, unless it is supplied as ``graph``; then ``cap`` is unused.
-    A degree beyond the cap is refused before S_n is walked. A budget expiry
-    returns the best clique found so far with ``complete=False``, never a
-    silent truncation.
+    A degree beyond the cap is refused before S_n is walked. The root's
+    colouring is chosen here: the cosets of ``_coset_classes``, checked in
+    the budget but before the root reads the clock, colour it where they are
+    a ``_colouring``, and their certificate is then reported, budget or
+    not. A budget expiry returns the best clique found so far with
+    ``complete=False``, never a silent truncation.
     """
     if mode not in (SIZE_ONLY, ENUMERATE_ALL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -297,20 +292,24 @@ def max_family_search(n: int, t: int, mode: str = SIZE_ONLY,
         graph = build_intersection_graph(n, t, cap)
     elif (graph.n, graph.t) != (parse_degree(n), t):
         raise ValueError("supplied graph does not match (n, t)")
+    certificate, classes = _coset_classes(graph) or (None, None)
+    classes = classes and _colouring(graph.adj, classes)  # drops the coset lists
+    certificate = certificate if classes else None
     deadline = None if time_budget is None else start + time_budget
-    search = _CliqueSearch(graph, mode == ENUMERATE_ALL, deadline)
+    search = _CliqueSearch(graph.adj, mode == ENUMERATE_ALL, deadline)
     complete = True
     try:
-        search.run()
+        search.run(classes)
     except BudgetExceeded:
         complete = False
+    del classes  # about 0.5 MB at n = 7, not kept while the witnesses are built
     witnesses = sorted(
         {PermFamily(n, (graph.perms[v] for v in clique)) for clique in search.cliques},
         key=lambda fam: tuple(p.image for p in fam))
     return CliqueSearchResult(
         n=n, t=t, mode=mode, max_size=search.best, witnesses=tuple(witnesses),
         complete=complete, nodes=search.nodes, cutoffs=search.cutoffs,
-        elapsed=time.monotonic() - start, certificate=search.certificate)
+        elapsed=time.monotonic() - start, certificate=certificate)
 
 
 def naive_max_family_size(n: int, t: int) -> int:

@@ -191,6 +191,18 @@ def test_extremal_rejects_family_names_that_are_not_decimal(name, capsys):
     assert err == f"error: unknown family name {name!r}; use F0, F1, F2, ...\n"
 
 
+@pytest.mark.parametrize("families", ["", ",", " , "])
+def test_extremal_empty_families_is_a_usage_error(tmp_path, families, capsys):
+    # an empty list compares nothing, so it must not fall back to F0,F1
+    out = tmp_path / "out.json"
+    assert main(["extremal", "--n", "7", "--t", "3", "--families", families,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: empty --families\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_extremal_quad(tmp_path):
     out = tmp_path / "quad.json"
     code = main(["extremal", "quad", "--t-max", "10", "--n-span", "10",

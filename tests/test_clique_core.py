@@ -2,20 +2,21 @@
 
 The S_n graphs are highly symmetric, so a child that inherits the wrong
 classes or a bound that is off by one could go unseen on them alone. Here the core runs on random
-graphs of at most 12 vertices, on both of its paths: the colouring search
-(at t = 2 no classes are built) and the class search, fed a random
-independent partition in place of the cosets. A walk over every vertex
-subset that is a clique gives the answers to compare.
+graphs of at most 12 vertices, on both of its paths: the colouring search,
+run with no root classes, and the class search, run on a random independent
+partition in place of the cosets. A walk over every vertex subset that is a
+clique gives the answers to compare. A check on the syntax tree keeps the
+core to rows alone, so it can run on any graph's rows.
 """
 
+import ast
 import itertools
-from unittest import mock
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycleint import search
-from cycleint.intersect import IntersectionGraph
 
 # far above the nodes any search here needs (under 50 in 3000 runs), so a
 # search that loops fails
@@ -95,8 +96,7 @@ class _Probe(search._CliqueSearch):
     expiring after ``limit`` nodes."""
 
     def __init__(self, rows, enumerate_all, limit):
-        super().__init__(IntersectionGraph(len(rows), 2, (), tuple(rows)),
-                         enumerate_all, None)
+        super().__init__(rows, enumerate_all, None)
         self.limit = limit
         self.opened_at = []
 
@@ -111,12 +111,15 @@ def _run(rows, enumerate_all, classes=None, limit=NODE_LIMIT):
     """The probe after its run, and whether the run completed; with
     ``classes``, the class search over them."""
     probe = _Probe(rows, enumerate_all, limit)
-    found = None if classes is None else ({"group": "random"}, classes)
-    with mock.patch.object(search, "_coset_classes", return_value=found):
-        try:
-            probe.run()
-        except search.BudgetExceeded:
-            return probe, False
+    coloured = None
+    if classes is not None:
+        # the class search runs on these classes, not on greedy colouring
+        coloured = search._colouring(rows, classes)
+        assert coloured is not None
+    try:
+        probe.run(coloured)
+    except search.BudgetExceeded:
+        return probe, False
     return probe, True
 
 
@@ -200,3 +203,16 @@ def test_coloring_bound_is_tight_on_complete_multipartite_graphs(parts, rng):
     probe, complete = _run(rows, False)
     assert complete and probe.best == len(parts)
     assert all(size < len(parts) for size in probe.opened_at)
+
+
+def test_the_core_knows_only_rows():
+    # by name, like the checks in test_walk_guard: no method of the core
+    # touches a graph, its permutations or a certificate, or chooses the
+    # root colouring, which its caller hands to ``run``
+    tree = ast.parse(Path(search.__file__).read_text())
+    (core,) = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_CliqueSearch"]
+    attributes = {node.attr for node in ast.walk(core) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(core) if isinstance(node, ast.Name)}
+    assert not attributes & {"graph", "perms", "certificate"}
+    assert not names & {"_coset_classes", "_colouring"}

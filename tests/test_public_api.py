@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cycleint"
 
 KEPT = {
-    "pointwise_agreements": "ROADMAP item 7 makes it the pointwise pair predicate",
+    "pointwise_agreements": "ROADMAP item 10 makes it the pointwise pair predicate",
     "identity": "reference for the inverse and conjugation tests",
     "conjugate": "reference for the conjugation-invariance tests",
     "ij_fix_perm": "the paper's ij-fixing operator, checked against the closures",

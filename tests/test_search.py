@@ -621,10 +621,18 @@ def test_dependent_cosets_fall_back(monkeypatch):
 
 
 def test_certified_search_reads_budget_at_the_root():
-    result = max_family_search(6, 1, mode=ENUMERATE_ALL, time_budget=0.0)
-    assert not result.complete
-    assert result.nodes == 1
-    assert result.certificate is None
+    # the cosets are checked before the root reads the clock, so an expiry at
+    # the root still reports their certificate, in either mode and whether
+    # the graph is built inside the budget or supplied
+    supplied = build_intersection_graph(7, 1, cap=7)
+    for n, mode, graph in ((6, ENUMERATE_ALL, None), (6, search.SIZE_ONLY, None),
+                           (7, ENUMERATE_ALL, supplied)):
+        result = max_family_search(n, 1, mode=mode, time_budget=0.0, graph=graph)
+        assert not result.complete
+        assert result.nodes == 1
+        assert result.certificate == {"group": f"C_{n}",
+                                      "generators": [[*range(2, n + 1), 1]],
+                                      "order": n, "classes": math.factorial(n - 1)}
 
 
 def test_certificate_is_reported():
@@ -674,7 +682,7 @@ def test_renumbered_coloring_matches_scan_order_reference():
         for t in range(1, n + 1):
             graph = build_intersection_graph(n, t)
             order = range(graph.size - 1, -1, -1)  # descending rank: the scan order
-            clique_search = search._CliqueSearch(graph, True, None)
+            clique_search = search._CliqueSearch(graph.adj, True, None)
             full = (1 << graph.size) - 1
             for cand in [full] + [rng.getrandbits(graph.size) for _ in range(10)]:
                 classes = [_members_from_the_top(bits)
@@ -744,8 +752,7 @@ class _BottomUpSearch(search._CliqueSearch):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_top_down_coloring_search_matches_bottom_up_reference(monkeypatch, n):
-    monkeypatch.setattr(search, "_coset_classes", lambda graph: None)
+def test_top_down_coloring_search_matches_bottom_up_reference(n):
     for t in range(n + 1):
         graph = build_intersection_graph(n, t)
         for enumerate_all in (False, True):
@@ -767,7 +774,7 @@ def test_top_down_coloring_search_matches_bottom_up_reference_at_a_forced_expiry
         for enumerate_all in (False, True):
             outcomes = []
             for cls in (search._CliqueSearch, _BottomUpSearch):
-                clique_search = cls(graph, enumerate_all, None)
+                clique_search = cls(graph.adj, enumerate_all, None)
                 expired = False
                 try:
                     clique_search.run()
@@ -839,9 +846,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     # parts than the lowered limit needs a node per part
     limit, lowered = sys.getrecursionlimit(), len(inspect.stack(0)) + 80
     parts = lowered + 20
-    rows = _cocktail_party_rows(parts)
-    graph = intersect.IntersectionGraph(len(rows), 2, (), tuple(rows))
-    deep = search._CliqueSearch(graph, False, None)
+    deep = search._CliqueSearch(_cocktail_party_rows(parts), False, None)
     sys.setrecursionlimit(lowered)
     try:
         five = max_family_search(5, 0, mode=ENUMERATE_ALL)
@@ -900,18 +905,19 @@ def _sorted_cliques(clique_search):
 
 
 def _search_outcome(cls, graph, enumerate_all):
-    clique_search = cls(graph, enumerate_all, None)
+    clique_search = cls(graph.adj, enumerate_all, None)
     clique_search.run()
     return (clique_search.best, _sorted_cliques(clique_search), clique_search.nodes,
-            clique_search.cutoffs, clique_search.certificate)
+            clique_search.cutoffs)
 
 
 def _assert_children_inherit_their_candidates(n, t):
     graph = build_intersection_graph(n, t)
+    classes = search._colouring(graph.adj, search._coset_classes(graph)[1])
+    assert classes is not None
     for enumerate_all in (False, True):
-        clique_search = _InheritanceCheck(graph, enumerate_all, None)
-        clique_search.run()
-        assert clique_search.certificate is not None
+        clique_search = _InheritanceCheck(graph.adj, enumerate_all, None)
+        clique_search.run(classes)
         assert clique_search.checked == clique_search.nodes, (n, t, enumerate_all)
 
 
